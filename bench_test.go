@@ -81,7 +81,7 @@ func BenchmarkFig4DeltaEncoding(b *testing.B) {
 		b.Run(p.Service, func(b *testing.B) {
 			var up int64
 			for i := 0; i < b.N; i++ {
-				pts := core.Fig4DeltaSeries(p, core.ModAppend, []int64{1 << 20}, 100<<10, int64(i)+1)
+				pts := core.Fig4DeltaSeries(p, core.ModAppend, []int64{1 << 20}, 100<<10, int64(i)+1, 0)
 				up = pts[0].Upload
 			}
 			b.ReportMetric(float64(up)/1e6, "upload_MB")
@@ -98,7 +98,7 @@ func BenchmarkFig4RandomInsert(b *testing.B) {
 		b.Run(svc, func(b *testing.B) {
 			var up int64
 			for i := 0; i < b.N; i++ {
-				pts := core.Fig4DeltaSeries(p, core.ModRandom, []int64{10 << 20}, 100<<10, int64(i)+1)
+				pts := core.Fig4DeltaSeries(p, core.ModRandom, []int64{10 << 20}, 100<<10, int64(i)+1, 0)
 				up = pts[0].Upload
 			}
 			b.ReportMetric(float64(up)/1e6, "upload_MB")
@@ -115,7 +115,7 @@ func BenchmarkFig5Compression(b *testing.B) {
 			b.Run(p.Service+"/"+kind.String(), func(b *testing.B) {
 				var up int64
 				for i := 0; i < b.N; i++ {
-					pts := core.Fig5CompressionSeries(p, kind, []int64{1 << 20}, int64(i)+1)
+					pts := core.Fig5CompressionSeries(p, kind, []int64{1 << 20}, int64(i)+1, 0)
 					up = pts[0].Upload
 				}
 				b.ReportMetric(float64(up)/1e6, "upload_MB")
@@ -184,7 +184,7 @@ func BenchmarkTable1Capabilities(b *testing.B) {
 		b.Run(p.Service, func(b *testing.B) {
 			var c core.Capabilities
 			for i := 0; i < b.N; i++ {
-				c = core.DetectCapabilities(p, int64(i)+1)
+				c = core.DetectCapabilities(p, int64(i)+1, 0)
 			}
 			score := 0.0
 			if c.Bundling {
@@ -331,14 +331,14 @@ func BenchmarkCampaignEngine(b *testing.B) {
 		b.Run(svc+"/parallel", func(b *testing.B) {
 			var s core.Summary
 			for i := 0; i < b.N; i++ {
-				s = core.RunCampaignParallel(p, batch, 24, 42, 0)
+				s = core.RunCampaign(p, batch, core.FixedReps(24), 42, 0)
 			}
 			b.ReportMetric(s.MeanCompletion.Seconds(), "completion_s")
 		})
 		b.Run(svc+"/sequential", func(b *testing.B) {
 			var s core.Summary
 			for i := 0; i < b.N; i++ {
-				s = core.RunCampaignParallel(p, batch, 24, 42, 1)
+				s = core.RunCampaign(p, batch, core.FixedReps(24), 42, 1)
 			}
 			b.ReportMetric(s.MeanCompletion.Seconds(), "completion_s")
 		})

@@ -256,8 +256,8 @@ func main() {
 	batch := workload.Batch{Count: 100, Size: 10_000, Kind: workload.Binary}
 	for _, svc := range []string{"clouddrive", "dropbox"} {
 		p, _ := client.ProfileFor(svc)
-		par := minWall(3, func() { core.RunCampaignParallel(p, batch, 24, *seed, 0) })
-		seq := minWall(3, func() { core.RunCampaignParallel(p, batch, 24, *seed, 1) })
+		par := minWall(3, func() { core.RunCampaign(p, batch, core.FixedReps(24), *seed, 0) })
+		seq := minWall(3, func() { core.RunCampaign(p, batch, core.FixedReps(24), *seed, 1) })
 		snap.Micro.Campaign = append(snap.Micro.Campaign, campaignMicro{
 			Service:          svc,
 			ParallelNs:       par.Nanoseconds(),
@@ -274,10 +274,8 @@ func main() {
 	const matrixReps = 4
 	profiles := client.Profiles()
 	var parRes, seqRes []core.Fig6Result
-	parWall := minWall(2, func() { parRes = core.Fig6Matrix(profiles, matrixReps, *seed) })
-	core.CampaignWorkers = 1
-	seqWall := minWall(2, func() { seqRes = core.Fig6Matrix(profiles, matrixReps, *seed) })
-	core.CampaignWorkers = 0
+	parWall := minWall(2, func() { parRes = core.Fig6Matrix(profiles, core.FixedReps(matrixReps), *seed, 0) })
+	seqWall := minWall(2, func() { seqRes = core.Fig6Matrix(profiles, core.FixedReps(matrixReps), *seed, 1) })
 	snap.Micro.Matrix = matrixMicro{
 		Workload:     fmt.Sprintf("%d services x 4 workloads x %d reps", len(profiles), matrixReps),
 		Cells:        len(profiles) * 4 * matrixReps,
@@ -315,7 +313,7 @@ func main() {
 
 	if !*skipFig6 {
 		v, _ := core.VantageByName("twente")
-		snap.Campaign = core.RunFullCampaign(v, *reps, *seed)
+		snap.Campaign = core.RunFullCampaign(v, core.FixedReps(*reps), *seed, 0)
 	} else {
 		snap.Campaign = core.Campaign{
 			Tool: core.ToolVersion, Vantage: "twente", Seed: *seed, Reps: *reps,
@@ -348,12 +346,11 @@ func adaptiveMicroBench(seed int64) adaptiveMicro {
 	batch := workload.Batch{Count: 100, Size: 10_000, Kind: workload.Binary}
 
 	var fixed core.Summary
-	fixedWall := minWall(3, func() { fixed = core.RunCampaign(p, batch, 24, seed) })
+	fixedWall := minWall(3, func() { fixed = core.RunCampaign(p, batch, core.FixedReps(24), seed, 0) })
 
-	rule := core.StopRule{TargetRelHW: fixed.AchievedRelHW, MinReps: 8, MaxReps: 96}
-	vr := core.VarianceReduction{Antithetic: true}
+	rule := core.StopRule{TargetRelHW: fixed.AchievedRelHW, MinReps: 8, MaxReps: 96, Antithetic: true}
 	var adaptive core.Summary
-	adaptiveWall := minWall(3, func() { adaptive = core.RunCampaignAdaptive(p, batch, rule, vr, seed) })
+	adaptiveWall := minWall(3, func() { adaptive = core.RunCampaign(p, batch, rule, seed, 0) })
 
 	return adaptiveMicro{
 		Workload:      "clouddrive, 100 x 10 kB, fixed 24 reps vs antithetic adaptive at equal precision",

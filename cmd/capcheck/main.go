@@ -40,7 +40,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-parallel must be >= 0 (got %d)\n", *parallel)
 		os.Exit(2)
 	}
-	core.CampaignWorkers = *parallel
+	rule := core.StopRule{TargetRelHW: *precision, MaxReps: *maxReps}
+	if err := rule.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	var profiles []client.Profile
 	if *service == "all" {
@@ -55,12 +59,11 @@ func main() {
 	}
 
 	if *precision > 0 {
-		rule := core.StopRule{TargetRelHW: *precision, MaxReps: *maxReps}
 		fmt.Printf("%-14s%12s%12s%12s\n", "service", "unanimous", "probes", "achieved")
 		caps := map[string]core.Capabilities{}
 		var order []string
 		for _, p := range profiles {
-			cc := core.DetectCapabilitiesAdaptive(p, rule, *seed)
+			cc := core.DetectCapabilitiesAdaptive(p, rule, *seed, *parallel)
 			caps[p.Service] = cc.Capabilities
 			order = append(order, p.Service)
 			fmt.Printf("%-14s%12v%12d%11.2f%%\n",
@@ -71,7 +74,7 @@ func main() {
 		return
 	}
 
-	caps := core.DetectCapabilitiesAll(profiles, *seed)
+	caps := core.DetectCapabilitiesAll(profiles, *seed, *parallel)
 	var order []string
 	for _, p := range profiles {
 		c := caps[p.Service]

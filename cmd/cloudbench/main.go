@@ -71,16 +71,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-parallel must be >= 0 (got %d)\n", *parallel)
 		os.Exit(2)
 	}
-	core.CampaignWorkers = *parallel
-	if *precision < 0 || *precision >= 1 {
-		if *precision != 0 {
-			fmt.Fprintf(os.Stderr, "-precision must be in (0, 1) (got %g)\n", *precision)
-			os.Exit(2)
-		}
+	workers := *parallel
+	rule := core.StopRule{TargetRelHW: *precision, MinReps: *minReps, MaxReps: *maxReps, Antithetic: *antithetic, CRN: *crn}
+	if err := rule.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-	rule := core.StopRule{TargetRelHW: *precision, MinReps: *minReps, MaxReps: *maxReps}
-	vr := core.VarianceReduction{Antithetic: *antithetic, CRN: *crn}
-	adaptive := *precision > 0
+	if *precision == 0 {
+		rule = core.FixedReps(*reps)
+	}
 
 	profiles, err := selectProfiles(*service)
 	if err != nil {
@@ -93,11 +92,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		if adaptive {
-			lossSweepAdaptive(profiles, rates, rule, vr, *seed)
-		} else {
-			lossSweep(profiles, rates, *reps, *seed)
-		}
+		lossSweep(profiles, rates, rule, *seed, workers)
 		return
 	}
 	run := func(name string) bool { return *experiment == "all" || *experiment == name }
@@ -105,11 +100,11 @@ func main() {
 	any := false
 	if run("table1") {
 		any = true
-		table1(profiles, *seed)
+		table1(profiles, *seed, workers)
 	}
 	if run("fig1") {
 		any = true
-		fig1(profiles, *seed, *doPlot)
+		fig1(profiles, *seed, workers, *doPlot)
 	}
 	if run("fig3") {
 		any = true
@@ -117,19 +112,15 @@ func main() {
 	}
 	if run("fig4") {
 		any = true
-		fig4(profiles, *seed)
+		fig4(profiles, *seed, workers)
 	}
 	if run("fig5") {
 		any = true
-		fig5(profiles, *seed)
+		fig5(profiles, *seed, workers)
 	}
 	if run("fig6") {
 		any = true
-		if adaptive {
-			fig6Adaptive(profiles, rule, vr, *seed, *doPlot)
-		} else {
-			fig6(profiles, *reps, *seed, *doPlot)
-		}
+		fig6(profiles, rule, *seed, workers, *doPlot)
 	}
 	if run("discover") {
 		any = true
@@ -153,15 +144,11 @@ func main() {
 	}
 	if run("locations") {
 		any = true
-		if adaptive {
-			locationsAdaptive(rule, vr, *seed)
-		} else {
-			locations(*seed)
-		}
+		locations(rule, *seed, workers)
 	}
 	if run("whatif") {
 		any = true
-		whatif(*seed)
+		whatif(*seed, workers)
 	}
 	if !any {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
@@ -181,9 +168,9 @@ func selectProfiles(service string) ([]client.Profile, error) {
 	return []client.Profile{p}, nil
 }
 
-func table1(profiles []client.Profile, seed int64) {
+func table1(profiles []client.Profile, seed int64, workers int) {
 	fmt.Println("== Table 1: capabilities per service (detected from traffic) ==")
-	caps := core.DetectCapabilitiesAll(profiles, seed)
+	caps := core.DetectCapabilitiesAll(profiles, seed, workers)
 	var order []string
 	for _, p := range profiles {
 		order = append(order, p.Service)
@@ -192,9 +179,9 @@ func table1(profiles []client.Profile, seed int64) {
 	fmt.Println()
 }
 
-func fig1(profiles []client.Profile, seed int64, doPlot bool) {
+func fig1(profiles []client.Profile, seed int64, workers int, doPlot bool) {
 	fmt.Println("== Fig 1: background traffic while idle (16 min) ==")
-	results := core.RunN(len(profiles), 0, func(i int) core.IdleResult {
+	results := core.RunN(len(profiles), workers, func(i int) core.IdleResult {
 		return core.RunIdle(profiles[i], seed)
 	})
 	fmt.Print(core.Fig1Report(results))
@@ -276,12 +263,12 @@ func fig3(seed int64, doPlot bool) {
 	fmt.Println()
 }
 
-func fig4(profiles []client.Profile, seed int64) {
+func fig4(profiles []client.Profile, seed int64, workers int) {
 	fmt.Println("== Fig 4: delta encoding tests (upload after modifying a file) ==")
 	for _, mod := range []core.ModKind{core.ModAppend, core.ModRandom} {
 		fmt.Printf("-- %s, +100 kB (CSV: series,file_bytes,upload_bytes)\n", mod)
-		series := core.RunN(len(profiles), 0, func(i int) []core.VolumePoint {
-			return core.Fig4DeltaSeries(profiles[i], mod, core.Fig4Sizes(mod), 100<<10, seed)
+		series := core.RunN(len(profiles), workers, func(i int) []core.VolumePoint {
+			return core.Fig4DeltaSeries(profiles[i], mod, core.Fig4Sizes(mod), 100<<10, seed, workers)
 		})
 		for i, pts := range series {
 			fmt.Print(core.VolumeSeriesCSV(profiles[i].Service+"-"+mod.String(), pts))
@@ -290,12 +277,12 @@ func fig4(profiles []client.Profile, seed int64) {
 	fmt.Println()
 }
 
-func fig5(profiles []client.Profile, seed int64) {
+func fig5(profiles []client.Profile, seed int64, workers int) {
 	fmt.Println("== Fig 5: bytes uploaded during the compression test ==")
 	for _, kind := range []workload.Kind{workload.Text, workload.Binary, workload.FakeJPEG} {
 		fmt.Printf("-- %s files (CSV: series,file_bytes,upload_bytes)\n", kind)
-		series := core.RunN(len(profiles), 0, func(i int) []core.VolumePoint {
-			return core.Fig5CompressionSeries(profiles[i], kind, core.Fig5Sizes(), seed)
+		series := core.RunN(len(profiles), workers, func(i int) []core.VolumePoint {
+			return core.Fig5CompressionSeries(profiles[i], kind, core.Fig5Sizes(), seed, workers)
 		})
 		for i, pts := range series {
 			fmt.Print(core.VolumeSeriesCSV(profiles[i].Service+"-"+kind.String(), pts))
@@ -304,10 +291,13 @@ func fig5(profiles []client.Profile, seed int64) {
 	fmt.Println()
 }
 
-func fig6(profiles []client.Profile, reps int, seed int64, doPlot bool) {
-	fmt.Printf("== Fig 6: benchmarks, %d repetitions per workload ==\n", reps)
-	results := core.Fig6Matrix(profiles, reps, seed)
+func fig6(profiles []client.Profile, rule core.StopRule, seed int64, workers int, doPlot bool) {
+	fmt.Printf("== Fig 6: benchmarks, %s ==\n", design(rule, "workload"))
+	results := core.Fig6Matrix(profiles, rule, seed, workers)
 	fmt.Print(core.Fig6Report(results))
+	if adaptive(rule) {
+		fmt.Print(core.PrecisionReport(results))
+	}
 	if doPlot && len(results) > 0 {
 		var labels []string
 		for _, r := range results {
@@ -329,70 +319,16 @@ func fig6(profiles []client.Profile, reps int, seed int64, doPlot bool) {
 	fmt.Println()
 }
 
-// fig6Adaptive is fig6 under a stopping rule: same tables, plus the
-// sampling matrix showing where the repetition budget went.
-func fig6Adaptive(profiles []client.Profile, rule core.StopRule, vr core.VarianceReduction, seed int64, doPlot bool) {
-	fmt.Printf("== Fig 6: benchmarks, adaptive to ±%.1f%% (max %d reps) ==\n",
-		rule.TargetRelHW*100, rule.MaxReps)
-	results := core.Fig6MatrixAdaptive(profiles, rule, vr, seed)
-	fmt.Print(core.Fig6Report(results))
-	fmt.Print(core.PrecisionReport(results))
-	if doPlot && len(results) > 0 {
-		var labels []string
-		for _, r := range results {
-			labels = append(labels, r.Service)
-		}
-		var groups []plot.BarGroup
-		for wi, w := range results[0].Workloads {
-			g := plot.BarGroup{Label: w.String()}
-			for _, r := range results {
-				g.Values = append(g.Values, r.Summaries[wi].MeanCompletion.Seconds())
-			}
-			groups = append(groups, g)
-		}
-		fmt.Println()
-		fmt.Print(plot.Bars(groups, labels, plot.Options{
-			Title: "Fig 6(b): completion time (s)", Width: 48, LogY: true,
-		}))
-	}
-	fmt.Println()
-}
+// adaptive reports whether rule came from -precision rather than
+// -reps (core.FixedReps leaves the precision target unset).
+func adaptive(rule core.StopRule) bool { return rule.TargetRelHW > 0 }
 
-func locationsAdaptive(rule core.StopRule, vr core.VarianceReduction, seed int64) {
-	fmt.Printf("== Location study: 1x1MB completion, adaptive to ±%.1f%% ==\n", rule.TargetRelHW*100)
-	var vantages []core.Vantage
-	for _, name := range []string{"twente", "SEA", "IAD", "SIN", "SYD"} {
-		v, ok := core.VantageByName(name)
-		if !ok {
-			continue
-		}
-		vantages = append(vantages, v)
+// design describes the repetition design in a section header.
+func design(rule core.StopRule, per string) string {
+	if !adaptive(rule) {
+		return fmt.Sprintf("%d repetitions per %s", rule.MinReps, per)
 	}
-	batch := workload.Batch{Count: 1, Size: 1 << 20, Kind: workload.Binary}
-	cells := core.LocationStudyAdaptive(batch, vantages, rule, vr, seed)
-	fmt.Print(core.LocationSummaryReport(cells, vantages))
-	fmt.Println()
-}
-
-func lossSweepAdaptive(profiles []client.Profile, rates []float64, rule core.StopRule, vr core.VarianceReduction, seed int64) {
-	fmt.Printf("== Loss sweep: %s, adaptive to ±%.1f%% (max %d reps) ==\n",
-		core.DefaultLossBatch, rule.TargetRelHW*100, rule.MaxReps)
-	cells := core.LossSweepAdaptive(profiles, rates, core.DefaultLossBatch, core.Twente, rule, vr, seed)
-	fmt.Printf("%-14s%10s%14s%12s%12s%8s%12s\n", "service", "loss", "completion", "startup", "overhead", "reps", "achieved")
-	for _, c := range cells {
-		fmt.Printf("%-14s%9.2f%%%13.1fs%11.1fs%11.2fx%8d%11.2f%%\n",
-			c.Service, c.LossRate*100,
-			c.Summary.MeanCompletion.Seconds(), c.Summary.MeanStartup.Seconds(),
-			c.Summary.MeanOverhead, c.Summary.RepsUsed, c.Summary.AchievedRelHW*100)
-	}
-	fmt.Println("\nCSV: service,loss_rate,completion_s,startup_s,overhead_x,reps_used,achieved_rel_hw")
-	for _, c := range cells {
-		fmt.Printf("%s,%g,%.3f,%.3f,%.3f,%d,%.5f\n",
-			c.Service, c.LossRate,
-			c.Summary.MeanCompletion.Seconds(), c.Summary.MeanStartup.Seconds(),
-			c.Summary.MeanOverhead, c.Summary.RepsUsed, c.Summary.AchievedRelHW)
-	}
-	fmt.Println()
+	return fmt.Sprintf("adaptive to ±%.1f%% (max %d reps)", rule.TargetRelHW*100, rule.MaxReps)
 }
 
 func discover(profiles []client.Profile, seed int64) {
@@ -458,8 +394,7 @@ func propagation(profiles []client.Profile, seed int64) {
 	fmt.Println()
 }
 
-func locations(seed int64) {
-	fmt.Println("== Location study: 1x1MB completion time per vantage ==")
+func locations(rule core.StopRule, seed int64, workers int) {
 	var vantages []core.Vantage
 	for _, name := range []string{"twente", "SEA", "IAD", "SIN", "SYD"} {
 		v, ok := core.VantageByName(name)
@@ -469,8 +404,13 @@ func locations(seed int64) {
 		vantages = append(vantages, v)
 	}
 	batch := workload.Batch{Count: 1, Size: 1 << 20, Kind: workload.Binary}
-	cells := core.LocationStudy(batch, vantages, seed)
-	fmt.Print(core.LocationReport(cells, vantages))
+	if adaptive(rule) {
+		fmt.Printf("== Location study: 1x1MB completion, adaptive to ±%.1f%% ==\n", rule.TargetRelHW*100)
+		fmt.Print(core.LocationSummaryReport(core.LocationStudyAdaptive(batch, vantages, rule, seed, workers), vantages))
+	} else {
+		fmt.Println("== Location study: 1x1MB completion time per vantage ==")
+		fmt.Print(core.LocationReport(core.LocationStudy(batch, vantages, seed, workers), vantages))
+	}
 	fmt.Println()
 }
 
@@ -493,30 +433,45 @@ func parseLossRates(s string) ([]float64, error) {
 	return rates, nil
 }
 
-func lossSweep(profiles []client.Profile, rates []float64, reps int, seed int64) {
-	fmt.Printf("== Loss sweep: %s, %d repetitions per cell ==\n",
-		core.DefaultLossBatch, reps)
-	cells := core.LossSweep(profiles, rates, core.DefaultLossBatch, core.Twente, reps, seed)
-	fmt.Printf("%-14s%10s%14s%12s%12s\n", "service", "loss", "completion", "startup", "overhead")
+func lossSweep(profiles []client.Profile, rates []float64, rule core.StopRule, seed int64, workers int) {
+	fmt.Printf("== Loss sweep: %s, %s ==\n", core.DefaultLossBatch, design(rule, "cell"))
+	cells := core.LossSweep(profiles, rates, core.DefaultLossBatch, core.Twente, rule, seed, workers)
+	fmt.Printf("%-14s%10s%14s%12s%12s", "service", "loss", "completion", "startup", "overhead")
+	if adaptive(rule) {
+		fmt.Printf("%8s%12s", "reps", "achieved")
+	}
+	fmt.Println()
 	for _, c := range cells {
-		fmt.Printf("%-14s%9.2f%%%13.1fs%11.1fs%11.2fx\n",
+		fmt.Printf("%-14s%9.2f%%%13.1fs%11.1fs%11.2fx",
 			c.Service, c.LossRate*100,
 			c.Summary.MeanCompletion.Seconds(), c.Summary.MeanStartup.Seconds(),
 			c.Summary.MeanOverhead)
+		if adaptive(rule) {
+			fmt.Printf("%8d%11.2f%%", c.Summary.RepsUsed, c.Summary.AchievedRelHW*100)
+		}
+		fmt.Println()
 	}
-	fmt.Println("\nCSV: service,loss_rate,completion_s,startup_s,overhead_x")
+	fmt.Print("\nCSV: service,loss_rate,completion_s,startup_s,overhead_x")
+	if adaptive(rule) {
+		fmt.Print(",reps_used,achieved_rel_hw")
+	}
+	fmt.Println()
 	for _, c := range cells {
-		fmt.Printf("%s,%g,%.3f,%.3f,%.3f\n",
+		fmt.Printf("%s,%g,%.3f,%.3f,%.3f",
 			c.Service, c.LossRate,
 			c.Summary.MeanCompletion.Seconds(), c.Summary.MeanStartup.Seconds(),
 			c.Summary.MeanOverhead)
+		if adaptive(rule) {
+			fmt.Printf(",%d,%.5f", c.Summary.RepsUsed, c.Summary.AchievedRelHW)
+		}
+		fmt.Println()
 	}
 	fmt.Println()
 }
 
-func whatif(seed int64) {
+func whatif(seed int64, workers int) {
 	fmt.Println("== What-if studies (the paper's counterfactuals) ==")
-	for _, r := range core.WhatIfStudies(seed) {
+	for _, r := range core.WhatIfStudies(seed, workers) {
 		fmt.Printf("%-32s %s: %.2f -> %s: %.2f (%s)\n",
 			r.Name, r.BaselineLabel, r.Baseline, r.VariantLabel, r.Variant, r.Unit)
 	}

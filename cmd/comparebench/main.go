@@ -62,14 +62,14 @@ func main() {
 		if !ok {
 			fatalf("unknown vantage %q", *from)
 		}
-		var c core.Campaign
-		if *precision > 0 {
-			rule := core.StopRule{TargetRelHW: *precision, MaxReps: *maxReps}
-			vr := core.VarianceReduction{Antithetic: *antithetic, CRN: *crn}
-			c = core.RunFullCampaignAdaptive(v, rule, vr, *seed)
-		} else {
-			c = core.RunFullCampaign(v, *reps, *seed)
+		rule := core.StopRule{TargetRelHW: *precision, MaxReps: *maxReps, Antithetic: *antithetic, CRN: *crn}
+		if err := rule.Validate(); err != nil {
+			fatalf("%v", err)
 		}
+		if *precision == 0 {
+			rule = core.FixedReps(*reps)
+		}
+		c := core.RunFullCampaign(v, rule, *seed, 0)
 		w := os.Stdout
 		if *out != "" {
 			f, err := os.Create(*out)

@@ -65,8 +65,8 @@
 //     (pinned by the randomized equivalence test in internal/trace).
 //   - core.MeasureWindow reads all Sect. 5 metrics off two Analyze
 //     passes (all flows, storage flows) of one window, in either
-//     trace mode. The campaign cells (RunSync, RunSyncFrom,
-//     RunSYNCount, the Fig. 4/5 sweeps) stream; consumers that
+//     trace mode. The campaign cells (RunSync and every repeated
+//     layer's repetitions, RunSYNCount, the Fig. 4/5 sweeps) stream; consumers that
 //     genuinely re-window after the fact or walk individual packets —
 //     RunIdle's cumulative timeline, AnalyzeProtocols' activity
 //     clustering, the Sect. 4 capability detectors, RunPropagation,
@@ -101,58 +101,62 @@
 //     stop paying for recompression.
 //   - core.RunN is the parallel experiment scheduler: a generic
 //     bounded-pool fan-out over arbitrary index spaces. Every
-//     campaign-of-campaigns loop rides on it — RunCampaign over
-//     repetitions, Fig6ForService/Fig6Matrix over service x workload x
-//     repetition, Fig4DeltaSeries/Fig5CompressionSeries over sweep
-//     sizes, LocationStudy over service x vantage, and
-//     DetectCapabilities(/All) over the five Sect. 4 detectors per
-//     service — so one knob (core.CampaignWorkers, default one worker
-//     per CPU; cmd/cloudbench and cmd/capcheck -parallel) governs the
-//     whole experiment matrix from a single shared worker budget.
-//     Nested fan-outs draw from the same budget, so pools never
-//     oversubscribe the machine; when the budget is spent, inner
-//     cells simply run inline on their caller's worker.
+//     campaign-of-campaigns loop rides on it — RunCampaign,
+//     Fig6Matrix and LossSweep over cell x repetition (through the
+//     stopping engine core.RunUntil), Fig4DeltaSeries/
+//     Fig5CompressionSeries over sweep sizes, LocationStudy over
+//     service x vantage, and DetectCapabilities(/All) over the five
+//     Sect. 4 detectors per service. Every exported fan-out takes its
+//     worker count explicitly (0 = one per CPU, 1 = sequential);
+//     cmd/cloudbench and cmd/capcheck pass their -parallel value down,
+//     and no process-global knob exists. Nested fan-outs draw from one
+//     process-wide helper count, so pools never oversubscribe the
+//     machine; when the budget is spent, inner cells simply run
+//     inline on their caller's worker.
 //
 // # Adaptive sampling
 //
-// The paper fixes every benchmark at 24 repetitions. core's adaptive
-// engine (RunCampaignAdaptive, Fig6MatrixAdaptive, LossSweepAdaptive,
-// LocationStudyAdaptive, DetectCapabilitiesAdaptive,
-// RunFullCampaignAdaptive) instead runs each cell until the answer is
-// tight: repetitions proceed in fixed-size batches (core.StopRule —
-// an opening batch of MinReps, then AdaptiveBatch at a time, capped
-// at MaxReps), each batch folds into an incremental Welford
-// accumulator (stats.Accumulator, O(batch) per check, mean
-// bit-identical to the batch formulas), and the cell stops once the
-// relative CI95 half-width of the headline metrics (completion,
-// goodput) is at or below the target. Confidence intervals use
-// Student-t critical values (stats.TQuantile95 — exact table to
-// df 30, Cornish–Fisher beyond), so small samples are not
-// overconfident. Batch boundaries are constants of the rule, never
-// derived from the worker count, and the tracker folds repetitions in
-// index order — the reps executed AND the resulting Summary are a
-// pure function of (seed, rule), bit-identical at any -parallel
-// setting. Fixed-rep campaigns remain the reference path.
+// The paper fixes every benchmark at 24 repetitions. core.StopRule
+// generalises that: every repeated layer (RunCampaign, Fig6Matrix,
+// LossSweep, RunFullCampaign, and the adaptive forms of the location
+// study and capability check) takes one rule, and a fixed count is
+// simply the rule whose bounds coincide (core.FixedReps(24) — one
+// batch, no precision check). An adaptive rule instead runs each cell
+// until the answer is tight: repetitions proceed in fixed-size
+// batches (an opening batch of MinReps, then AdaptiveBatch at a time,
+// capped at MaxReps) and the cell stops once the relative CI95
+// half-width of the headline metrics (completion, goodput) is at or
+// below the target. The multi-cell driver (core.RunUntil) puts the
+// next batch of every still-open cell onto one RunN per round, so a
+// fixed rule is exactly one flattened pass over the cell x repetition
+// matrix. The stopping statistic is the same two-pass half-width
+// Summarize reports (stats.MeanCI95 with Student-t critical values —
+// exact table to df 30, Cornish–Fisher beyond), so small samples are
+// not overconfident. Batch boundaries are constants of the rule,
+// never derived from the worker count — the reps executed AND the
+// resulting Summary are a pure function of (seed, rule),
+// bit-identical at any -parallel setting (scripts/campaignsmoke.sh
+// checks this end to end).
 //
-// Two variance-reduction levers (core.VarianceReduction) hit the
-// target with fewer repetitions. Antithetic pairing gives rep 2k+1
-// its twin's seed on a complemented PCG stream (sim.NewAntitheticRNG)
-// and computes the stopping statistic over pair means; the mirroring
-// must survive the consumers, so RNG.Jitter reflects the accepted
-// uniform deviate (complemented raw words do not survive Int63n's
-// modulo) and RNG.Perm returns the reversed twin permutation (the
-// antithetic construction for discrete choices — a k-prefix consumer
-// like DNS server rotation sees the complementary end of the pool).
-// On the golden Cloud Drive cell that pairing is what turns the
-// far-server connection count — the variance driver — negatively
-// correlated across twins, reaching the fixed-24-rep precision in 16
-// repetitions (the benchsnap adaptive micro pins it). CRN gives every
-// service a common repetition seed stream in the multi-service
-// sweeps, so cross-service deltas are paired comparisons. Summaries
-// record RepsUsed and AchievedRelHW, adaptive campaign files record
-// the rule (precision, max_reps), and cmd/comparebench annotates each
-// delta with whether it fits inside the union of the two runs'
-// achieved confidence intervals.
+// Two variance-reduction levers (StopRule.Antithetic, StopRule.CRN)
+// hit the target with fewer repetitions. Antithetic pairing gives rep
+// 2k+1 its twin's seed on a complemented PCG stream
+// (sim.NewAntitheticRNG) and computes the stopping statistic over
+// pair means; the mirroring must survive the consumers, so RNG.Jitter
+// reflects the accepted uniform deviate (complemented raw words do
+// not survive Int63n's modulo) and RNG.Perm returns the reversed twin
+// permutation (the antithetic construction for discrete choices — a
+// k-prefix consumer like DNS server rotation sees the complementary
+// end of the pool). On the golden Cloud Drive cell that pairing is
+// what turns the far-server connection count — the variance driver —
+// negatively correlated across twins, reaching the fixed-24-rep
+// precision in 16 repetitions (the benchsnap adaptive micro pins it).
+// CRN gives every service a common repetition seed stream in the
+// multi-service sweeps, so cross-service deltas are paired
+// comparisons. Summaries record RepsUsed and AchievedRelHW, adaptive
+// campaign files record the rule (precision, max_reps), and
+// cmd/comparebench annotates each delta with whether it fits inside
+// the union of the two runs' achieved confidence intervals.
 //
 // # Fleet engine
 //

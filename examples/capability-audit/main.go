@@ -24,7 +24,7 @@ func main() {
 	var order []string
 	for _, p := range client.Profiles() {
 		fmt.Printf("  checking %s...\n", p.Name)
-		caps[p.Service] = core.DetectCapabilities(p, 42)
+		caps[p.Service] = core.DetectCapabilities(p, 42, 0)
 		order = append(order, p.Service)
 	}
 

@@ -1,33 +1,32 @@
 package core
 
 import (
-	"time"
+	"fmt"
+	"math"
 
 	"repro/internal/client"
-	"repro/internal/cloud"
-	"repro/internal/netem"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
-// This file is the adaptive sampling engine: campaigns that run until
-// the answer is tight instead of until a fixed repetition budget runs
-// out (the sequential stopping design of "Sampling in Cloud
-// Benchmarking", PAPERS.md). A cell repeats in fixed-size batches,
-// folds each batch into an incremental precision tracker
-// (stats.Accumulator — O(batch) per check, not O(reps so far)), and
-// stops once the relative CI95 half-width of the headline metrics
-// (completion, goodput) is under target or a hard cap is hit.
+// This file is the repetition engine under every repeated campaign
+// layer (RunCampaign, Fig6Matrix, LossSweep, RunFullCampaign, the
+// adaptive location study and capability check). One StopRule
+// describes how many repetitions a cell gets: the paper's fixed count
+// (FixedReps — MinReps == MaxReps) or the sequential stopping design
+// of "Sampling in Cloud Benchmarking" (PAPERS.md), where a cell
+// repeats in fixed-size batches and stops once the relative CI95
+// half-width of its headline metrics (completion, goodput) is under
+// target or a hard cap is hit. The fixed count is simply the design
+// that ends after its opening batch, so both run on one driver
+// (RunUntil) and one repetition body (runSyncOn).
 //
 // Determinism: the stopping decision is a pure function of (seed,
 // rule). Batch boundaries are fixed constants of the rule — never
-// derived from the worker count — and the tracker folds repetitions in
-// index order, so the reps executed and the resulting Summary are
-// bit-identical at any worker count; -parallel only changes
-// wall-clock time. Fixed-rep campaigns (RunCampaign, Fig6Matrix, ...)
-// remain the reference path, the way tcpsim keeps its event loop
-// behind Dialer.ForceEventLoop.
+// derived from the worker count — and the stopping statistic is
+// computed from each cell's sample in index order, so the reps
+// executed and the resulting Summary are bit-identical at any worker
+// count; -parallel only changes wall-clock time.
 
 // Default stopping parameters: stop when the headline means are known
 // to ±5%, never before 8 repetitions (below that the t critical value
@@ -45,61 +44,27 @@ const (
 // worker count or the decision would change with -parallel.
 const AdaptiveBatch = 4
 
-// StopRule is a sequential stopping design: run at least MinReps
-// repetitions, then keep adding batches until the relative CI95
-// half-width of every headline metric is at most TargetRelHW or
-// MaxReps is reached. Zero fields take the defaults above.
+// StopRule is the repetition design of a campaign layer: run at least
+// MinReps repetitions per cell, then keep adding batches until the
+// relative CI95 half-width of every headline metric is at most
+// TargetRelHW or MaxReps is reached. MinReps == MaxReps is a fixed
+// count (see FixedReps). Zero fields take the defaults above.
 type StopRule struct {
 	// TargetRelHW is the precision target: the CI95 half-width of
 	// the mean, relative to the magnitude of the mean.
 	TargetRelHW float64
-	// MinReps is the smallest sample the rule may stop at (>= 2, so
-	// a half-width exists; >= 4 under antithetic pairing).
+	// MinReps is the smallest sample the rule may stop at (raised to
+	// 2 when the rule may stop early, so a half-width exists; to 4
+	// under antithetic pairing).
 	MinReps int
 	// MaxReps is the hard budget cap.
 	MaxReps int
-}
-
-// withDefaults resolves zero fields and orders the bounds. vr widens
-// the minimum under antithetic pairing: the stopping statistic is
-// then computed over pair means, so a decision needs at least two
-// complete pairs, and bounds are rounded to whole pairs.
-func (r StopRule) withDefaults(vr VarianceReduction) StopRule {
-	if r.TargetRelHW <= 0 {
-		r.TargetRelHW = DefaultTargetRelHW
-	}
-	if r.MinReps <= 0 {
-		r.MinReps = DefaultMinReps
-	}
-	if r.MinReps < 2 {
-		r.MinReps = 2
-	}
-	if r.MaxReps <= 0 {
-		r.MaxReps = DefaultMaxReps
-	}
-	if vr.Antithetic {
-		r.MinReps += r.MinReps % 2
-		if r.MinReps < 4 {
-			r.MinReps = 4
-		}
-		r.MaxReps += r.MaxReps % 2
-	}
-	if r.MaxReps < r.MinReps {
-		r.MaxReps = r.MinReps
-	}
-	return r
-}
-
-// VarianceReduction selects the variance-reduction techniques the
-// index→seed discipline makes nearly free. Both shrink the achieved
-// half-width at equal repetitions — i.e. hit the target with fewer —
-// and both keep every stream per-cell deterministic.
-type VarianceReduction struct {
 	// Antithetic pairs repetitions: rep 2k+1 reuses rep 2k's seed on
 	// the complemented PCG stream (sim.NewAntitheticRNG), so its
 	// jitter draws mirror its twin's and pair means have less
 	// variance than two independent repetitions. The stopping
-	// statistic is computed over pair means.
+	// statistic is computed over pair means, and bounds are rounded
+	// to whole pairs.
 	Antithetic bool
 	// CRN gives every service the same repetition seed stream
 	// (common random numbers) in the multi-service sweeps, so
@@ -110,197 +75,160 @@ type VarianceReduction struct {
 	CRN bool
 }
 
-// RunUntil is the generic batched sequential driver under every
-// adaptive layer. It evaluates run(0..) in fixed-size batches on the
-// shared worker pool (RunN) and consults stop after each batch with
-// that batch's results, in index order; stop reports whether the
-// accumulated sample satisfies the rule. The first batch has MinReps
-// cells, later ones AdaptiveBatch, the last is clipped to MaxReps —
-// all constants of the rule, so which repetitions execute is a pure
-// function of (rule, stop), independent of workers.
-func RunUntil[T any](rule StopRule, workers int, run func(rep int) T, stop func(batch []T) bool) []T {
-	rule = rule.withDefaults(VarianceReduction{})
-	results := make([]T, 0, rule.MinReps+AdaptiveBatch)
-	for len(results) < rule.MaxReps {
-		size := AdaptiveBatch
-		if len(results) == 0 {
-			size = rule.MinReps
-		}
-		if rest := rule.MaxReps - len(results); size > rest {
-			size = rest
-		}
-		base := len(results)
-		batch := RunN(size, workers, func(i int) T { return run(base + i) })
-		results = append(results, batch...)
-		if stop(batch) {
-			break
-		}
+// FixedReps is the paper's repetition design: exactly n repetitions
+// per cell, no precision check. n <= 0 selects DefaultReps.
+func FixedReps(n int) StopRule {
+	if n <= 0 {
+		n = DefaultReps
 	}
-	return results
+	return StopRule{MinReps: n, MaxReps: n}
 }
 
-// precisionTracker folds repetitions into the incremental stopping
-// statistic: one stats.Accumulator per headline metric, over raw
-// repetitions or — under antithetic pairing — over the means of
-// consecutive (plain, complemented) pairs.
-type precisionTracker struct {
-	pair                bool
-	pending             bool
-	pendC, pendG        float64
-	completion, goodput stats.Accumulator
+// Validate rejects a rule the engine would otherwise have to repair
+// silently: a precision target outside [0, 1), negative bounds, or a
+// cap below the (possibly defaulted) minimum. Zero fields are valid
+// and select the defaults.
+func (r StopRule) Validate() error {
+	minReps := r.MinReps
+	if minReps == 0 {
+		minReps = DefaultMinReps
+	}
+	switch {
+	case !(r.TargetRelHW >= 0 && r.TargetRelHW < 1):
+		return fmt.Errorf("precision must be in [0, 1) (got %g)", r.TargetRelHW)
+	case r.MinReps < 0:
+		return fmt.Errorf("min-reps must be >= 0 (got %d)", r.MinReps)
+	case r.MaxReps < 0:
+		return fmt.Errorf("max-reps must be >= 0 (got %d)", r.MaxReps)
+	case r.MaxReps > 0 && r.MaxReps < minReps:
+		return fmt.Errorf("max-reps %d is below min-reps %d", r.MaxReps, minReps)
+	}
+	return nil
 }
 
-func (t *precisionTracker) observe(m Metrics) {
-	c, g := float64(m.Completion), m.GoodputBps
-	if !t.pair {
-		t.completion.Add(c)
-		t.goodput.Add(g)
-		return
+// withDefaults resolves zero fields and orders the bounds. Under
+// antithetic pairing the stopping statistic is computed over pair
+// means, so a decision needs at least two complete pairs and bounds
+// are rounded to whole pairs.
+func (r StopRule) withDefaults() StopRule {
+	if r.TargetRelHW <= 0 {
+		r.TargetRelHW = DefaultTargetRelHW
 	}
-	if !t.pending {
-		t.pendC, t.pendG, t.pending = c, g, true
-		return
+	if r.MinReps <= 0 {
+		r.MinReps = DefaultMinReps
 	}
-	t.completion.Add((t.pendC + c) / 2)
-	t.goodput.Add((t.pendG + g) / 2)
-	t.pending = false
-}
-
-// relHW is the current stopping statistic: the worst relative CI95
-// half-width over the headline metrics.
-func (t *precisionTracker) relHW() float64 {
-	r := t.completion.RelHalfWidth()
-	if g := t.goodput.RelHalfWidth(); g > r {
-		r = g
+	if r.MaxReps <= 0 {
+		r.MaxReps = DefaultMaxReps
+	}
+	if r.Antithetic {
+		r.MinReps += r.MinReps % 2
+		if r.MinReps < 4 {
+			r.MinReps = 4
+		}
+		r.MaxReps += r.MaxReps % 2
+	}
+	if r.MaxReps < r.MinReps {
+		r.MaxReps = r.MinReps
+	}
+	if r.MinReps < 2 && r.MaxReps > r.MinReps {
+		r.MinReps = 2
 	}
 	return r
 }
 
-// vrRNG builds the repetition's randomness root: the plain PCG stream,
-// or its complemented twin for the odd half of an antithetic pair.
-func vrRNG(seed int64, anti bool) *sim.RNG {
-	if anti {
-		return sim.NewAntitheticRNG(seed)
+// RunUntil is the batched sequential driver under every repeated
+// layer: cells independent designs sharing one rule. Each round puts
+// the next batch of every still-open cell onto one RunN — the opening
+// batch has MinReps repetitions, later ones AdaptiveBatch, the last
+// is clipped to MaxReps — and then asks stop, cell by cell in index
+// order, whether that cell's sample so far satisfies the rule; a cell
+// closes when it does or when the cap is reached (stop is not
+// consulted at the cap). Batch boundaries are constants of the rule,
+// so which repetitions execute is a pure function of (rule, stop),
+// independent of workers. A fixed rule is a single round: the whole
+// cell x repetition matrix flattened onto one pool pass. The result
+// holds each cell's repetitions in index order.
+func RunUntil[T any](cells int, rule StopRule, workers int, run func(cell, rep int) T, stop func(cell int, sample []T) bool) [][]T {
+	rule = rule.withDefaults()
+	samples := make([][]T, cells)
+	open := make([]int, cells)
+	for c := range open {
+		open[c] = c
 	}
-	return sim.NewRNG(seed)
-}
-
-// adaptiveSummary runs one experiment cell under a stopping rule:
-// repSeed maps a repetition index to its seed (the cell's slice of
-// the index→seed discipline), cell executes one repetition on the
-// given randomness root. Under antithetic pairing rep 2k+1 reuses
-// rep 2k's seed on the complemented stream.
-func adaptiveSummary(rule StopRule, vr VarianceReduction, repSeed func(rep int) int64, cell func(rng *sim.RNG) Metrics) Summary {
-	rule = rule.withDefaults(vr)
-	tr := &precisionTracker{pair: vr.Antithetic}
-	runs := RunUntil(rule, CampaignWorkers, func(rep int) Metrics {
-		anti := false
-		if vr.Antithetic {
-			anti = rep%2 == 1
-			rep -= rep % 2
+	for done := 0; len(open) > 0; {
+		size := AdaptiveBatch
+		if done == 0 {
+			size = rule.MinReps
 		}
-		return cell(vrRNG(repSeed(rep), anti))
-	}, func(batch []Metrics) bool {
-		for _, m := range batch {
-			tr.observe(m)
+		size = min(size, rule.MaxReps-done)
+		batch := RunN(len(open)*size, workers, func(i int) T {
+			return run(open[i/size], done+i%size)
+		})
+		done += size
+		still := open[:0]
+		for k, c := range open {
+			samples[c] = append(samples[c], batch[k*size:(k+1)*size]...)
+			if done < rule.MaxReps && !stop(c, samples[c]) {
+				still = append(still, c)
+			}
 		}
-		return tr.relHW() <= rule.TargetRelHW
-	})
-	s := Summarize(runs)
-	// The per-rep summary stands, but the achieved precision is the
-	// statistic the rule actually tested (pair means under
-	// antithetic), so the recorded value is the one that gated
-	// stopping.
-	s.AchievedRelHW = tr.relHW()
-	return s
-}
-
-// runSyncRNG is the synchronization benchmark repetition generalised
-// over its randomness root: RunSync / RunSyncFrom / RunSyncLossy with
-// an explicit RNG, so adaptive cells can inject antithetic streams.
-// loss <= 0 leaves the path clean.
-func runSyncRNG(p client.Profile, batch workload.Batch, host *netem.Host, rng *sim.RNG, jitter, loss float64) Metrics {
-	tb := assembleTestbed(p, cloud.SpecFor(p.Service), host, rng, jitter, true)
-	if loss > 0 {
-		tb.Net.LossRate = loss
+		open = still
 	}
-	start := tb.Settle()
-	t0 := tb.Clock.Now()
-	tb.StartWindow(t0)
-	batch.Materialize(tb.Folder, tb.RNG, t0, "bench")
-	res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
-	tb.Clock.AdvanceTo(res.Done)
-	return MeasureWindow(tb, t0, batch.Total())
+	return samples
 }
 
-// RunCampaignAdaptive is RunCampaign with a stopping rule: the same
-// campaignSeed repetition stream as the fixed-rep engine (rep k of an
-// adaptive run is bit-identical to rep k of a plain campaign when vr
-// is zero), stopped as soon as the precision target is met.
-func RunCampaignAdaptive(p client.Profile, batch workload.Batch, rule StopRule, vr VarianceReduction, baseSeed int64) Summary {
-	return adaptiveSummary(rule, vr,
-		func(rep int) int64 { return campaignSeed(baseSeed, rep) },
-		func(rng *sim.RNG) Metrics { return runSyncRNG(p, batch, campusHost(), rng, DefaultJitter, 0) })
-}
-
-// Fig6MatrixAdaptive is Fig6Matrix under a stopping rule: every
-// (service, workload) cell runs its own sequential design, so
-// low-variance cells release their budget early while noisy cells
-// keep sampling up to the cap. Cells fan out over the shared pool and
-// each cell's inner batches draw from the same budget. Note the
-// fig6Seed stream carries no service index, so common random numbers
-// across services hold here with or without vr.CRN.
-func Fig6MatrixAdaptive(profiles []client.Profile, rule StopRule, vr VarianceReduction, seed int64) []Fig6Result {
-	return fig6Adaptive(profiles, campusHost, rule, vr, seed)
-}
-
-// fig6Adaptive is the host-generic body of Fig6MatrixAdaptive, shared
-// with the campaign path that benchmarks from an arbitrary vantage.
-func fig6Adaptive(profiles []client.Profile, host func() *netem.Host, rule StopRule, vr VarianceReduction, seed int64) []Fig6Result {
-	batches := workload.StandardBenchmarks(workload.Binary)
-	out := make([]Fig6Result, len(profiles))
-	for si, p := range profiles {
-		out[si] = Fig6Result{Service: p.Service, Workloads: batches, Summaries: make([]Summary, len(batches))}
+// achievedRelHW is the stopping statistic of a cell's sample: the
+// worst relative CI95 half-width over the headline metrics
+// (completion, goodput), over the repetitions themselves or — under
+// antithetic pairing — over the means of consecutive (plain,
+// complemented) pairs. Over plain repetitions it is exactly the
+// AchievedRelHW that Summarize reports.
+func achievedRelHW(runs []Metrics, pairs bool) float64 {
+	step := 1
+	if pairs {
+		step = 2
 	}
-	RunEach(len(profiles)*len(batches), CampaignWorkers, func(i int) {
-		si, wi := i/len(batches), i%len(batches)
-		out[si].Summaries[wi] = adaptiveSummary(rule, vr,
-			func(rep int) int64 { return fig6Seed(seed, wi, rep) },
-			func(rng *sim.RNG) Metrics {
-				return runSyncRNG(profiles[si], batches[wi], host(), rng, DefaultJitter, 0)
-			})
-	})
-	return out
+	var completions, goodputs []float64
+	for i := 0; i+step <= len(runs); i += step {
+		c, g := float64(runs[i].Completion), runs[i].GoodputBps
+		if pairs {
+			c = (c + float64(runs[i+1].Completion)) / 2
+			g = (g + runs[i+1].GoodputBps) / 2
+		}
+		completions = append(completions, c)
+		goodputs = append(goodputs, g)
+	}
+	return math.Max(relHalfWidth(completions), relHalfWidth(goodputs))
 }
 
-// LossSweepAdaptive is LossSweep under a stopping rule. With vr.CRN
-// every service draws the same per-(rate, repetition) seed stream, so
-// service-vs-service deltas at one loss rate are paired comparisons.
-func LossSweepAdaptive(profiles []client.Profile, rates []float64, batch workload.Batch, v Vantage, rule StopRule, vr VarianceReduction, seed int64) []LossCell {
-	out := make([]LossCell, len(profiles)*len(rates))
-	RunEach(len(out), CampaignWorkers, func(i int) {
-		si, ri := i/len(rates), i%len(rates)
-		seedSvc := si
-		if vr.CRN {
-			seedSvc = 0
+// sampleCells runs one Metrics-producing design per cell under rule
+// and summarizes each cell. repSeed maps (cell, rep) to the
+// repetition's seed — the layer's slice of the index→seed discipline
+// — and run executes one repetition of a cell on the given randomness
+// root. Under antithetic pairing rep 2k+1 reuses rep 2k's seed on the
+// complemented stream, and the recorded AchievedRelHW is the pair-mean
+// statistic that gated stopping.
+func sampleCells(cells int, rule StopRule, workers int, repSeed func(cell, rep int) int64, run func(cell int, rng *sim.RNG) Metrics) []Summary {
+	rule = rule.withDefaults()
+	samples := RunUntil(cells, rule, workers, func(c, rep int) Metrics {
+		if rule.Antithetic && rep%2 == 1 {
+			return run(c, sim.NewAntitheticRNG(repSeed(c, rep-1)))
 		}
-		out[i] = LossCell{
-			Service:  profiles[si].Service,
-			LossRate: rates[ri],
-			Workload: batch,
-			Summary: adaptiveSummary(rule, vr,
-				func(rep int) int64 { return lossSweepSeed(seed, seedSvc, ri, rep) },
-				func(rng *sim.RNG) Metrics {
-					return runSyncRNG(profiles[si], batch, vantageHost(v), rng, DefaultJitter, rates[ri])
-				}),
-		}
+		return run(c, sim.NewRNG(repSeed(c, rep)))
+	}, func(_ int, runs []Metrics) bool {
+		return achievedRelHW(runs, rule.Antithetic) <= rule.TargetRelHW
 	})
+	out := make([]Summary, cells)
+	for c, runs := range samples {
+		out[c] = Summarize(runs)
+		out[c].AchievedRelHW = achievedRelHW(runs, rule.Antithetic)
+	}
 	return out
 }
 
 // LocationSummary is one (service, vantage) cell of an adaptive
 // location study: a full Summary with achieved precision, where the
-// fixed-rep LocationStudy reports a single jitter-free repetition.
+// single-shot LocationStudy reports one jitter-free repetition.
 type LocationSummary struct {
 	Service string
 	Vantage string
@@ -308,7 +236,7 @@ type LocationSummary struct {
 }
 
 // locationSeed spreads location-study cells across the seed space;
-// with vr.CRN the service term is dropped so every service faces the
+// with CRN the service term is dropped so every service faces the
 // same noise at each vantage.
 func locationSeed(seed int64, si, vi int, crn bool) int64 {
 	base := seed + int64(vi)*500009
@@ -323,21 +251,18 @@ func locationSeed(seed int64, si, vi int, crn bool) int64 {
 // repeats with the campaign jitter (DefaultJitter) — an adaptive cell
 // without dispersion would trivially stop at MinReps — and reports
 // per-cell summaries with achieved precision.
-func LocationStudyAdaptive(batch workload.Batch, vantages []Vantage, rule StopRule, vr VarianceReduction, seed int64) []LocationSummary {
+func LocationStudyAdaptive(batch workload.Batch, vantages []Vantage, rule StopRule, seed int64, workers int) []LocationSummary {
 	profiles := client.Profiles()
-	out := make([]LocationSummary, len(profiles)*len(vantages))
-	RunEach(len(out), CampaignWorkers, func(i int) {
-		si, vi := i/len(vantages), i%len(vantages)
-		out[i] = LocationSummary{
-			Service: profiles[si].Service,
-			Vantage: vantages[vi].Name,
-			Summary: adaptiveSummary(rule, vr,
-				func(rep int) int64 { return campaignSeed(locationSeed(seed, si, vi, vr.CRN), rep) },
-				func(rng *sim.RNG) Metrics {
-					return runSyncRNG(profiles[si], batch, vantageHost(vantages[vi]), rng, DefaultJitter, 0)
-				}),
-		}
-	})
+	nv := len(vantages)
+	sums := sampleCells(len(profiles)*nv, rule, workers,
+		func(c, rep int) int64 { return campaignSeed(locationSeed(seed, c/nv, c%nv, rule.CRN), rep) },
+		func(c int, rng *sim.RNG) Metrics {
+			return runSyncOn(profiles[c/nv], batch, vantageHost(vantages[c%nv]), rng, DefaultJitter, 0)
+		})
+	out := make([]LocationSummary, len(sums))
+	for c, s := range sums {
+		out[c] = LocationSummary{Service: profiles[c/nv].Service, Vantage: vantages[c%nv].Name, Summary: s}
+	}
 	return out
 }
 
@@ -363,27 +288,30 @@ type CapabilityConfidence struct {
 // whether the boolean verdicts were unanimous across probes. It is
 // capcheck's -precision mode: detection robustness quantified instead
 // of assumed from a single seed.
-func DetectCapabilitiesAdaptive(p client.Profile, rule StopRule, seed int64) CapabilityConfidence {
-	rule = rule.withDefaults(VarianceReduction{})
+func DetectCapabilitiesAdaptive(p client.Profile, rule StopRule, seed int64, workers int) CapabilityConfidence {
+	rule = rule.withDefaults()
 	type probe struct {
 		caps  Capabilities
 		conns float64
 	}
-	var acc stats.Accumulator
-	probes := RunUntil(rule, CampaignWorkers, func(rep int) probe {
-		s := campaignSeed(seed, rep)
-		return probe{caps: DetectCapabilities(p, s), conns: DetectBundling(p, s).ConnsPerFile}
-	}, func(batch []probe) bool {
-		for _, pr := range batch {
-			acc.Add(pr.conns)
+	relHW := func(probes []probe) float64 {
+		conns := make([]float64, len(probes))
+		for i, pr := range probes {
+			conns[i] = pr.conns
 		}
-		return acc.RelHalfWidth() <= rule.TargetRelHW
-	})
+		return relHalfWidth(conns)
+	}
+	probes := RunUntil(1, rule, workers, func(_, rep int) probe {
+		s := campaignSeed(seed, rep)
+		return probe{caps: DetectCapabilities(p, s, workers), conns: DetectBundling(p, s).ConnsPerFile}
+	}, func(_ int, probes []probe) bool {
+		return relHW(probes) <= rule.TargetRelHW
+	})[0]
 	out := CapabilityConfidence{
 		Capabilities:  probes[0].caps,
 		Unanimous:     true,
 		RepsUsed:      len(probes),
-		AchievedRelHW: acc.RelHalfWidth(),
+		AchievedRelHW: relHW(probes),
 	}
 	for _, pr := range probes[1:] {
 		if pr.caps != out.Capabilities {
@@ -391,26 +319,4 @@ func DetectCapabilitiesAdaptive(p client.Profile, rule StopRule, seed int64) Cap
 		}
 	}
 	return out
-}
-
-// RunFullCampaignAdaptive is RunFullCampaign under a stopping rule:
-// the Fig. 6 and loss-sweep sections run their cells adaptively and
-// the campaign records the rule (Precision, MaxReps) alongside the
-// per-cell achieved precision, so snapshots are comparable at equal
-// confidence. The idle section is a single deterministic timeline and
-// runs as before.
-func RunFullCampaignAdaptive(vantage Vantage, rule StopRule, vr VarianceReduction, seed int64) Campaign {
-	rule = rule.withDefaults(vr)
-	c := Campaign{
-		Tool: ToolVersion, Vantage: vantage.Name,
-		Seed:      seed,
-		Precision: rule.TargetRelHW, MaxReps: rule.MaxReps,
-		CreatedAt: sim.Epoch,
-	}
-	c.Fig6 = fig6Adaptive(client.Profiles(), func() *netem.Host { return vantageHost(vantage) }, rule, vr, seed)
-	for _, p := range client.Profiles() {
-		c.Idle = append(c.Idle, RunIdle(p, seed))
-	}
-	c.Lossy = LossSweepAdaptive(client.Profiles(), DefaultLossRates, DefaultLossBatch, vantage, rule, vr, seed)
-	return c
 }

@@ -21,14 +21,14 @@ func goldenAdaptiveBatch() workload.Batch {
 // TestRunUntilBatchBoundaries pins the sequential schedule: the first
 // batch is MinReps, later batches AdaptiveBatch, the last clipped to
 // MaxReps — and the stopping check fires once per batch, never inside
-// one.
+// one, and not at the cap.
 func TestRunUntilBatchBoundaries(t *testing.T) {
 	rule := StopRule{TargetRelHW: 1, MinReps: 6, MaxReps: 17}
-	var sizes []int
-	out := RunUntil(rule, 4, func(rep int) int { return rep }, func(batch []int) bool {
-		sizes = append(sizes, len(batch))
+	var seen []int
+	out := RunUntil(1, rule, 4, func(_, rep int) int { return rep }, func(_ int, sample []int) bool {
+		seen = append(seen, len(sample))
 		return false // never satisfied: run to the cap
-	})
+	})[0]
 	if len(out) != 17 {
 		t.Fatalf("ran %d reps, want MaxReps=17", len(out))
 	}
@@ -37,54 +37,149 @@ func TestRunUntilBatchBoundaries(t *testing.T) {
 			t.Fatalf("rep %d returned %d: results must be in index order", i, v)
 		}
 	}
-	if want := []int{6, 4, 4, 3}; !reflect.DeepEqual(sizes, want) {
-		t.Fatalf("batch sizes %v, want %v", sizes, want)
+	if want := []int{6, 10, 14}; !reflect.DeepEqual(seen, want) {
+		t.Fatalf("stop consulted at sample sizes %v, want %v", seen, want)
 	}
 
 	// A rule satisfied by the opening batch stops at MinReps exactly.
-	out = RunUntil(rule, 4, func(rep int) int { return rep }, func([]int) bool { return true })
+	out = RunUntil(1, rule, 4, func(_, rep int) int { return rep }, func(int, []int) bool { return true })[0]
 	if len(out) != rule.MinReps {
 		t.Fatalf("satisfied rule ran %d reps, want MinReps=%d", len(out), rule.MinReps)
+	}
+}
+
+// TestRunUntilCellsMatchSolo: in a multi-cell run, cells that stop in
+// different rounds get exactly the repetitions — and results — they
+// would get running alone, at any worker count.
+func TestRunUntilCellsMatchSolo(t *testing.T) {
+	rule := StopRule{TargetRelHW: 1, MinReps: 4, MaxReps: 20}
+	run := func(cell, rep int) int { return cell*1000 + rep }
+	// Cell c is satisfied once it holds 4+4c repetitions.
+	stop := func(cell int, sample []int) bool { return len(sample) >= 4+4*cell }
+	for _, w := range equivalenceWorkerCounts {
+		all := RunUntil(5, rule, w, run, stop)
+		for c := range all {
+			solo := RunUntil(1, rule, w, func(_, rep int) int { return run(c, rep) },
+				func(_ int, sample []int) bool { return stop(c, sample) })[0]
+			if !reflect.DeepEqual(all[c], solo) {
+				t.Fatalf("workers=%d cell %d: %v, alone %v", w, c, all[c], solo)
+			}
+		}
+		if len(all[0]) != 4 || len(all[4]) != 20 {
+			t.Fatalf("workers=%d: cells ran %d and %d reps, want 4 and 20", w, len(all[0]), len(all[4]))
+		}
+	}
+}
+
+// TestFig6AdaptiveMatrixMatchesSoloCells is the same property on a
+// real layer: every (service, workload) cell of an adaptive Fig. 6
+// matrix, whose cells stop in different rounds, is bit-identical to
+// that cell run alone as a campaign on its fig6Seed stream.
+func TestFig6AdaptiveMatrixMatchesSoloCells(t *testing.T) {
+	profiles := []client.Profile{client.Dropbox(), client.SkyDrive()}
+	rule := StopRule{TargetRelHW: 0.03, MinReps: 4, MaxReps: 12, Antithetic: true}
+	matrix := Fig6Matrix(profiles, rule, 42, 0)
+	rounds := map[int]bool{}
+	for si, r := range matrix {
+		for wi, s := range r.Summaries {
+			rounds[s.RepsUsed] = true
+			solo := RunCampaign(profiles[si], r.Workloads[wi], rule, 42+int64(wi)*100003, 1)
+			if !reflect.DeepEqual(s, solo) {
+				t.Fatalf("%s %s: matrix cell differs from the cell alone\n matrix %+v\n alone  %+v",
+					r.Service, r.Workloads[wi], s, solo)
+			}
+		}
+	}
+	if len(rounds) < 2 {
+		t.Fatalf("every cell stopped after the same round %v; the test needs staggered stops", rounds)
 	}
 }
 
 // TestStopRuleDefaults pins the zero-value resolution and the
 // antithetic evenization (pair means need whole pairs).
 func TestStopRuleDefaults(t *testing.T) {
-	r := StopRule{}.withDefaults(VarianceReduction{})
+	r := StopRule{}.withDefaults()
 	if r.TargetRelHW != DefaultTargetRelHW || r.MinReps != DefaultMinReps || r.MaxReps != DefaultMaxReps {
 		t.Fatalf("zero rule resolved to %+v", r)
 	}
-	r = StopRule{MinReps: 3, MaxReps: 7}.withDefaults(VarianceReduction{Antithetic: true})
+	r = StopRule{MinReps: 3, MaxReps: 7, Antithetic: true}.withDefaults()
 	if r.MinReps != 4 || r.MaxReps != 8 {
 		t.Fatalf("antithetic rule must round to whole pairs, got %+v", r)
 	}
-	if r := (StopRule{MinReps: 10, MaxReps: 5}).withDefaults(VarianceReduction{}); r.MaxReps != 10 {
+	if r := (StopRule{MinReps: 10, MaxReps: 5}).withDefaults(); r.MaxReps != 10 {
 		t.Fatalf("MaxReps < MinReps must clamp up, got %+v", r)
+	}
+	if r := (StopRule{MinReps: 1, MaxReps: 5}).withDefaults(); r.MinReps != 2 {
+		t.Fatalf("a rule that may stop early needs two reps for a half-width, got %+v", r)
+	}
+	if r := FixedReps(0); r != FixedReps(DefaultReps) {
+		t.Fatalf("FixedReps(0) = %+v, want the paper's %d", r, DefaultReps)
+	}
+}
+
+// TestFixedOneRepRunsOnce: StopRule{MinReps: 1, MaxReps: 1} is a fixed
+// count of one — a single repetition, never raised to the two an
+// adaptive rule needs for a half-width.
+func TestFixedOneRepRunsOnce(t *testing.T) {
+	rule := StopRule{MinReps: 1, MaxReps: 1}
+	calls := 0
+	out := RunUntil(1, rule, 1, func(_, rep int) int { calls++; return rep }, func(int, []int) bool {
+		t.Fatal("a fixed rule must not consult the stopping test")
+		return false
+	})[0]
+	if calls != 1 || len(out) != 1 {
+		t.Fatalf("ran %d reps (%d calls), want exactly 1", len(out), calls)
+	}
+	s := RunCampaign(client.Wuala(), workload.Batch{Count: 1, Size: 100_000, Kind: workload.Binary}, rule, 3, 0)
+	if s.RepsUsed != 1 || s.Reps != 1 {
+		t.Fatalf("one-rep campaign ran %d reps", s.RepsUsed)
+	}
+}
+
+// TestStopRuleValidate: the one flag check the CLIs share rejects every
+// value the engine would otherwise repair silently.
+func TestStopRuleValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rule StopRule
+		ok   bool
+	}{
+		{"zero", StopRule{}, true},
+		{"typical", StopRule{TargetRelHW: 0.05, MinReps: 8, MaxReps: 96}, true},
+		{"fixed", FixedReps(4), true},
+		{"cap only", StopRule{TargetRelHW: 0.1, MaxReps: 12}, true},
+		{"precision >= 1", StopRule{TargetRelHW: 5}, false},
+		{"precision = 1", StopRule{TargetRelHW: 1}, false},
+		{"negative precision", StopRule{TargetRelHW: -0.1}, false},
+		{"NaN precision", StopRule{TargetRelHW: math.NaN()}, false},
+		{"negative max", StopRule{TargetRelHW: 0.1, MaxReps: -3}, false},
+		{"negative min", StopRule{MinReps: -1}, false},
+		{"min above max", StopRule{MinReps: 10, MaxReps: 5}, false},
+		{"cap below default min", StopRule{MaxReps: DefaultMinReps - 1}, false},
+	} {
+		if err := tc.rule.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate(%+v) = %v, want ok=%v", tc.name, tc.rule, err, tc.ok)
+		}
 	}
 }
 
 // TestAdaptiveWorkerEquivalence is the determinism contract of the
-// tentpole: the repetitions executed AND the resulting Summary are a
+// engine: the repetitions executed AND the resulting Summary are a
 // pure function of (seed, rule) — bit-identical at any worker count,
 // with and without variance reduction.
 func TestAdaptiveWorkerEquivalence(t *testing.T) {
-	defer func(old int) { CampaignWorkers = old }(CampaignWorkers)
 	p := client.CloudDrive()
 	batch := goldenAdaptiveBatch()
-	rule := StopRule{TargetRelHW: 0.02, MinReps: 8, MaxReps: 24}
-
-	for _, vr := range []VarianceReduction{{}, {Antithetic: true}} {
-		CampaignWorkers = 1
-		ref := RunCampaignAdaptive(p, batch, rule, vr, 42)
+	for _, anti := range []bool{false, true} {
+		rule := StopRule{TargetRelHW: 0.02, MinReps: 8, MaxReps: 24, Antithetic: anti}
+		ref := RunCampaign(p, batch, rule, 42, 1)
 		for _, w := range []int{2, 8} {
-			CampaignWorkers = w
-			if got := RunCampaignAdaptive(p, batch, rule, vr, 42); !reflect.DeepEqual(got, ref) {
-				t.Fatalf("vr=%+v workers=%d: summary diverged\n got %+v\nwant %+v", vr, w, got, ref)
+			if got := RunCampaign(p, batch, rule, 42, w); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("antithetic=%v workers=%d: summary diverged\n got %+v\nwant %+v", anti, w, got, ref)
 			}
 		}
 		if ref.RepsUsed < rule.MinReps || ref.RepsUsed > rule.MaxReps {
-			t.Fatalf("vr=%+v: RepsUsed=%d outside [%d,%d]", vr, ref.RepsUsed, rule.MinReps, rule.MaxReps)
+			t.Fatalf("antithetic=%v: RepsUsed=%d outside [%d,%d]", anti, ref.RepsUsed, rule.MinReps, rule.MaxReps)
 		}
 	}
 }
@@ -92,8 +187,8 @@ func TestAdaptiveWorkerEquivalence(t *testing.T) {
 // TestAdaptiveMaxRepsCap: an unreachable target burns exactly the cap,
 // never more, and reports the (missed) achieved precision honestly.
 func TestAdaptiveMaxRepsCap(t *testing.T) {
-	s := RunCampaignAdaptive(client.Dropbox(), goldenAdaptiveBatch(),
-		StopRule{TargetRelHW: 1e-9, MinReps: 4, MaxReps: 12}, VarianceReduction{}, 7)
+	s := RunCampaign(client.Dropbox(), goldenAdaptiveBatch(),
+		StopRule{TargetRelHW: 1e-9, MinReps: 4, MaxReps: 12}, 7, 0)
 	if s.RepsUsed != 12 {
 		t.Fatalf("RepsUsed=%d, want the MaxReps cap 12", s.RepsUsed)
 	}
@@ -106,9 +201,9 @@ func TestAdaptiveMaxRepsCap(t *testing.T) {
 // dispersion at all) satisfies any target with the opening batch.
 func TestAdaptiveZeroVarianceStopsAtMinReps(t *testing.T) {
 	constant := Metrics{Completion: 1e9, GoodputBps: 8e6}
-	s := adaptiveSummary(StopRule{TargetRelHW: 0.001, MinReps: 6, MaxReps: 96}, VarianceReduction{},
-		func(rep int) int64 { return int64(rep) },
-		func(*sim.RNG) Metrics { return constant })
+	s := sampleCells(1, StopRule{TargetRelHW: 0.001, MinReps: 6, MaxReps: 96}, 0,
+		func(_, rep int) int64 { return int64(rep) },
+		func(int, *sim.RNG) Metrics { return constant })[0]
 	if s.RepsUsed != 6 {
 		t.Fatalf("RepsUsed=%d, want MinReps=6 for a zero-variance cell", s.RepsUsed)
 	}
@@ -117,18 +212,22 @@ func TestAdaptiveZeroVarianceStopsAtMinReps(t *testing.T) {
 	}
 }
 
-// TestAdaptiveMatchesFixedPrefix: with no variance reduction, rep k of
-// an adaptive campaign is bit-identical to rep k of the fixed-rep
-// engine — the adaptive path changes when to stop, never what runs.
+// TestAdaptiveMatchesFixedPrefix: a fixed n-rep campaign equals the
+// first n repetitions of a longer adaptive run on the same seed stream
+// — the stopping rule changes when to stop, never what runs.
 func TestAdaptiveMatchesFixedPrefix(t *testing.T) {
 	p := client.Wuala()
 	batch := goldenAdaptiveBatch()
-	fixed := RunCampaign(p, batch, 8, 42)
-	adaptive := RunCampaignAdaptive(p, batch,
-		StopRule{TargetRelHW: 1, MinReps: 8, MaxReps: 8}, VarianceReduction{}, 42)
-	if fixed.MeanCompletion != adaptive.MeanCompletion || fixed.MeanStartup != adaptive.MeanStartup ||
-		fixed.MeanOverhead != adaptive.MeanOverhead || fixed.MedianGoodputBps != adaptive.MedianGoodputBps {
-		t.Fatalf("adaptive 8-rep summary diverged from fixed 8-rep:\nfixed    %+v\nadaptive %+v", fixed, adaptive)
+	rule := StopRule{TargetRelHW: 1e-9, MinReps: 4, MaxReps: 12}
+	long := RunUntil(1, rule, 0, func(_, rep int) Metrics {
+		return RunSync(p, batch, campaignSeed(42, rep), DefaultJitter)
+	}, func(_ int, runs []Metrics) bool { return achievedRelHW(runs, false) <= rule.TargetRelHW })[0]
+	if adaptive := RunCampaign(p, batch, rule, 42, 0); !reflect.DeepEqual(adaptive, Summarize(long)) {
+		t.Fatalf("adaptive campaign is not the %d-rep sequential run:\n got  %+v\n want %+v", len(long), adaptive, Summarize(long))
+	}
+	fixed := RunCampaign(p, batch, FixedReps(8), 42, 0)
+	if prefix := Summarize(long[:8]); !reflect.DeepEqual(fixed, prefix) {
+		t.Fatalf("fixed 8-rep summary diverged from the adaptive run's first 8 reps:\nfixed  %+v\nprefix %+v", fixed, prefix)
 	}
 }
 
@@ -141,13 +240,13 @@ func TestAdaptiveMatchesFixedPrefix(t *testing.T) {
 func TestAntitheticBeatsPlainOnGoldenWorkload(t *testing.T) {
 	p := client.CloudDrive()
 	batch := goldenAdaptiveBatch()
-	fixed := RunCampaign(p, batch, DefaultReps, 42)
+	fixed := RunCampaign(p, batch, FixedReps(DefaultReps), 42, 0)
 	if fixed.AchievedRelHW <= 0 {
 		t.Fatalf("fixed campaign reports no achieved precision: %+v", fixed)
 	}
-	rule := StopRule{TargetRelHW: fixed.AchievedRelHW, MinReps: 8, MaxReps: 96}
+	rule := StopRule{TargetRelHW: fixed.AchievedRelHW, MinReps: 8, MaxReps: 96, Antithetic: true}
 
-	anti := RunCampaignAdaptive(p, batch, rule, VarianceReduction{Antithetic: true}, 42)
+	anti := RunCampaign(p, batch, rule, 42, 0)
 	if anti.AchievedRelHW > rule.TargetRelHW {
 		t.Fatalf("antithetic run stopped above target: %v > %v", anti.AchievedRelHW, rule.TargetRelHW)
 	}
@@ -171,8 +270,8 @@ func TestAntitheticPairCorrelation(t *testing.T) {
 	var plain, anti []float64
 	for k := 0; k < pairs; k++ {
 		seed := campaignSeed(42, 2*k)
-		mp := runSyncRNG(p, batch, campusHost(), vrRNG(seed, false), DefaultJitter, 0)
-		ma := runSyncRNG(p, batch, campusHost(), vrRNG(seed, true), DefaultJitter, 0)
+		mp := runSyncOn(p, batch, campusHost(), sim.NewRNG(seed), DefaultJitter, 0)
+		ma := runSyncOn(p, batch, campusHost(), sim.NewAntitheticRNG(seed), DefaultJitter, 0)
 		plain = append(plain, mp.Completion.Seconds())
 		anti = append(anti, ma.Completion.Seconds())
 	}
@@ -200,13 +299,13 @@ func TestCRNPairsServices(t *testing.T) {
 	var crn, indep []float64
 	for rep := 0; rep < reps; rep++ {
 		shared := lossSweepSeed(7, 0, 0, rep)
-		ma := runSyncRNG(a, DefaultLossBatch, vantageHost(Twente), vrRNG(shared, false), DefaultJitter, DefaultLossRates[0])
-		mb := runSyncRNG(b, DefaultLossBatch, vantageHost(Twente), vrRNG(shared, false), DefaultJitter, DefaultLossRates[0])
+		ma := runSyncOn(a, DefaultLossBatch, vantageHost(Twente), sim.NewRNG(shared), DefaultJitter, DefaultLossRates[0])
+		mb := runSyncOn(b, DefaultLossBatch, vantageHost(Twente), sim.NewRNG(shared), DefaultJitter, DefaultLossRates[0])
 		crn = append(crn, ma.Completion.Seconds()-mb.Completion.Seconds())
 
 		sa, sb := lossSweepSeed(7, 0, 0, rep), lossSweepSeed(7, 1, 0, rep)
-		ma = runSyncRNG(a, DefaultLossBatch, vantageHost(Twente), vrRNG(sa, false), DefaultJitter, DefaultLossRates[0])
-		mb = runSyncRNG(b, DefaultLossBatch, vantageHost(Twente), vrRNG(sb, false), DefaultJitter, DefaultLossRates[0])
+		ma = runSyncOn(a, DefaultLossBatch, vantageHost(Twente), sim.NewRNG(sa), DefaultJitter, DefaultLossRates[0])
+		mb = runSyncOn(b, DefaultLossBatch, vantageHost(Twente), sim.NewRNG(sb), DefaultJitter, DefaultLossRates[0])
 		indep = append(indep, ma.Completion.Seconds()-mb.Completion.Seconds())
 	}
 	if sc, si := stats.SampleStd(crn), stats.SampleStd(indep); sc >= si {
@@ -217,16 +316,12 @@ func TestCRNPairsServices(t *testing.T) {
 // TestLossSweepAdaptiveWorkerEquivalence extends the determinism
 // contract to the multi-cell sweeps, including the CRN seed routing.
 func TestLossSweepAdaptiveWorkerEquivalence(t *testing.T) {
-	defer func(old int) { CampaignWorkers = old }(CampaignWorkers)
 	profiles := sweepProfiles()
 	rates := []float64{0.02}
-	rule := StopRule{TargetRelHW: 0.05, MinReps: 4, MaxReps: 12}
-	vr := VarianceReduction{CRN: true}
+	rule := StopRule{TargetRelHW: 0.05, MinReps: 4, MaxReps: 12, CRN: true}
 
-	CampaignWorkers = 1
-	ref := LossSweepAdaptive(profiles, rates, DefaultLossBatch, Twente, rule, vr, 11)
-	CampaignWorkers = 8
-	if got := LossSweepAdaptive(profiles, rates, DefaultLossBatch, Twente, rule, vr, 11); !reflect.DeepEqual(got, ref) {
+	ref := LossSweep(profiles, rates, DefaultLossBatch, Twente, rule, 11, 1)
+	if got := LossSweep(profiles, rates, DefaultLossBatch, Twente, rule, 11, 8); !reflect.DeepEqual(got, ref) {
 		t.Fatalf("loss sweep diverged across worker counts\n got %+v\nwant %+v", got, ref)
 	}
 	for _, cell := range ref {
@@ -245,7 +340,7 @@ func TestLocationStudyAdaptiveShape(t *testing.T) {
 	}
 	vantages := []Vantage{Twente, lisbon}
 	rule := StopRule{TargetRelHW: 0.2, MinReps: 2, MaxReps: 4}
-	out := LocationStudyAdaptive(workload.Batch{Count: 1, Size: 100_000, Kind: workload.Binary}, vantages, rule, VarianceReduction{}, 3)
+	out := LocationStudyAdaptive(workload.Batch{Count: 1, Size: 100_000, Kind: workload.Binary}, vantages, rule, 3, 0)
 	if want := len(client.Profiles()) * len(vantages); len(out) != want {
 		t.Fatalf("got %d cells, want %d", len(out), want)
 	}
@@ -262,7 +357,7 @@ func TestLocationStudyAdaptiveShape(t *testing.T) {
 // TestDetectCapabilitiesAdaptive: the probe suite repeats until the
 // bundling statistic is tight and reports unanimity across seeds.
 func TestDetectCapabilitiesAdaptive(t *testing.T) {
-	out := DetectCapabilitiesAdaptive(client.Dropbox(), StopRule{TargetRelHW: 0.1, MinReps: 4, MaxReps: 12}, 42)
+	out := DetectCapabilitiesAdaptive(client.Dropbox(), StopRule{TargetRelHW: 0.1, MinReps: 4, MaxReps: 12}, 42, 0)
 	if out.RepsUsed < 4 || out.RepsUsed > 12 {
 		t.Fatalf("RepsUsed=%d outside rule bounds", out.RepsUsed)
 	}
@@ -278,9 +373,9 @@ func TestDetectCapabilitiesAdaptive(t *testing.T) {
 // the stopping rule so snapshots are comparable at equal confidence.
 func TestRunFullCampaignAdaptiveRecordsRule(t *testing.T) {
 	rule := StopRule{TargetRelHW: 0.2, MinReps: 2, MaxReps: 4}
-	c := RunFullCampaignAdaptive(Twente, rule, VarianceReduction{}, 5)
-	if c.Precision != 0.2 || c.MaxReps != 4 {
-		t.Fatalf("campaign rule not recorded: precision=%v max_reps=%d", c.Precision, c.MaxReps)
+	c := RunFullCampaign(Twente, rule, 5, 0)
+	if c.Precision != 0.2 || c.MaxReps != 4 || c.Reps != 0 {
+		t.Fatalf("campaign rule not recorded: precision=%v max_reps=%d reps=%d", c.Precision, c.MaxReps, c.Reps)
 	}
 	if len(c.Fig6) == 0 || len(c.Lossy) == 0 || len(c.Idle) == 0 {
 		t.Fatalf("adaptive campaign missing sections: %+v", c)

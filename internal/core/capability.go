@@ -42,20 +42,22 @@ type Capabilities struct {
 const numDetectors = 5
 
 // DetectCapabilities runs every Sect. 4 test for one service, the
-// five detectors fanned out over the shared scheduler pool.
-func DetectCapabilities(p client.Profile, seed int64) Capabilities {
-	return DetectCapabilitiesAll([]client.Profile{p}, seed)[p.Service]
+// five detectors fanned out over workers (0 = one per CPU, 1 =
+// sequential).
+func DetectCapabilities(p client.Profile, seed int64, workers int) Capabilities {
+	return DetectCapabilitiesAll([]client.Profile{p}, seed, workers)[p.Service]
 }
 
 // DetectCapabilitiesAll runs the Sect. 4 suite for every profile with
-// the whole service x detector matrix flattened onto one shared pool.
+// the whole service x detector matrix flattened onto one pool of
+// workers.
 // Each detector builds its own testbed from (profile, seed) and
 // writes only its own capability fields, so the matrix is
 // bit-identical to running the detectors one service at a time.
-func DetectCapabilitiesAll(profiles []client.Profile, seed int64) map[string]Capabilities {
+func DetectCapabilitiesAll(profiles []client.Profile, seed int64, workers int) map[string]Capabilities {
 	caps := make([]Capabilities, len(profiles))
 	dedups := make([]DedupResult, len(profiles))
-	RunEach(len(profiles)*numDetectors, CampaignWorkers, func(i int) {
+	RunEach(len(profiles)*numDetectors, workers, func(i int) {
 		si, det := i/numDetectors, i%numDetectors
 		p := profiles[si]
 		switch det {

@@ -70,7 +70,7 @@ func TestSummarizeEmptyPanics(t *testing.T) {
 
 func TestRunCampaignDispersion(t *testing.T) {
 	const reps = 6
-	s := RunCampaign(client.Wuala(), workload.Batch{Count: 1, Size: 100_000, Kind: workload.Binary}, reps, 3)
+	s := RunCampaign(client.Wuala(), workload.Batch{Count: 1, Size: 100_000, Kind: workload.Binary}, FixedReps(reps), 3, 0)
 	if s.Reps != reps {
 		t.Fatalf("reps = %d, want %d", s.Reps, reps)
 	}
@@ -157,7 +157,7 @@ func TestDetectCapabilitiesTable1(t *testing.T) {
 		"clouddrive":  {Chunking: "no", Bundling: false, Compression: "no", Dedup: false, DedupAfterDelete: false, DeltaEncoding: false},
 	}
 	for _, p := range client.Profiles() {
-		got := DetectCapabilities(p, 7)
+		got := DetectCapabilities(p, 7, 0)
 		w := want[p.Service]
 		if got.Chunking != w.Chunking {
 			t.Errorf("%s chunking = %q, want %q", p.Service, got.Chunking, w.Chunking)

@@ -140,12 +140,12 @@ func BenchmarkRunCampaign(b *testing.B) {
 		p, _ := client.ProfileFor(svc)
 		b.Run(svc+"/parallel", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				RunCampaignParallel(p, batch, 24, 42, 0)
+				RunCampaign(p, batch, FixedReps(24), 42, 0)
 			}
 		})
 		b.Run(svc+"/sequential", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				RunCampaignParallel(p, batch, 24, 42, 1)
+				RunCampaign(p, batch, FixedReps(24), 42, 1)
 			}
 		})
 	}

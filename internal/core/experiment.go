@@ -4,6 +4,9 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/cloud"
+	"repro/internal/netem"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -16,15 +19,27 @@ const DefaultReps = 24
 // campaigns, giving repetitions their dispersion.
 const DefaultJitter = 0.10
 
-// RunSync executes one repetition of a synchronization benchmark:
-// fresh testbed, login, settle, materialize the batch, let the client
-// synchronize, and measure everything from the trace. Repetitions run
-// in streaming-trace mode: packets are folded into the benchmark
-// window at record time and discarded, so a repetition's trace memory
-// is O(flows) regardless of workload size. Metrics are bit-identical
-// to the buffered path (pinned by the golden and equivalence tests).
+// RunSync executes one repetition of a synchronization benchmark from
+// the paper's campus test computer: fresh testbed, login, settle,
+// materialize the batch, let the client synchronize, and measure
+// everything from the trace. Repetitions run in streaming-trace mode:
+// packets are folded into the benchmark window at record time and
+// discarded, so a repetition's trace memory is O(flows) regardless of
+// workload size. Metrics are bit-identical to the buffered path
+// (pinned by the golden and equivalence tests).
 func RunSync(p client.Profile, batch workload.Batch, seed int64, jitter float64) Metrics {
-	tb := NewStreamingTestbed(p, seed, jitter)
+	return runSyncOn(p, batch, campusHost(), sim.NewRNG(seed), jitter, 0)
+}
+
+// runSyncOn is the one synchronization repetition body behind every
+// campaign layer: RunSync generalised over the test computer (any
+// vantage), the randomness root (plain or antithetic stream) and the
+// path's segment-loss rate, set before any traffic so login and
+// settle traffic share the lossy path, as they would in the paper's
+// testbed under netem.
+func runSyncOn(p client.Profile, batch workload.Batch, host *netem.Host, rng *sim.RNG, jitter, loss float64) Metrics {
+	tb := assembleTestbed(p, cloud.SpecFor(p.Service), host, rng, jitter, true)
+	tb.Net.LossRate = loss
 	start := tb.Settle()
 
 	t0 := tb.Clock.Now()
@@ -71,23 +86,14 @@ func campaignSeed(baseSeed int64, rep int) int64 {
 	return baseSeed + int64(rep)*7919
 }
 
-// RunCampaign repeats one benchmark the paper's way — Reps repetitions
-// with independent randomness — and aggregates. Repetitions fan out
-// over the shared scheduler pool (CampaignWorkers); the summary is
-// bit-identical to a sequential run of the same base seed.
-func RunCampaign(p client.Profile, batch workload.Batch, reps int, baseSeed int64) Summary {
-	return RunCampaignParallel(p, batch, reps, baseSeed, CampaignWorkers)
-}
-
-// RunCampaignParallel is RunCampaign with an explicit worker count
-// (0 = one per CPU, 1 = sequential).
-func RunCampaignParallel(p client.Profile, batch workload.Batch, reps int, baseSeed int64, workers int) Summary {
-	if reps <= 0 {
-		reps = DefaultReps
-	}
-	return Summarize(RunN(reps, workers, func(rep int) Metrics {
-		return RunSync(p, batch, campaignSeed(baseSeed, rep), DefaultJitter)
-	}))
+// RunCampaign repeats one benchmark under a repetition design — the
+// paper's way is FixedReps(24), independent randomness per repetition
+// — and aggregates. Repetitions fan out over workers (0 = one per
+// CPU, 1 = sequential); the summary is bit-identical at any setting.
+func RunCampaign(p client.Profile, batch workload.Batch, rule StopRule, baseSeed int64, workers int) Summary {
+	return sampleCells(1, rule, workers,
+		func(_, rep int) int64 { return campaignSeed(baseSeed, rep) },
+		func(_ int, rng *sim.RNG) Metrics { return runSyncOn(p, batch, campusHost(), rng, DefaultJitter, 0) })[0]
 }
 
 // IdleResult is one service's Fig. 1 dataset: the cumulative traffic

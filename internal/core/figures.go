@@ -4,6 +4,8 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/netem"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -49,9 +51,10 @@ type VolumePoint struct {
 // of the second synchronization. Cells stream: the measurement window
 // opens at the modification instant — a quiet point 10 s after the
 // base upload — so it is registered before any of its traffic exists
-// and the base upload's packets are never retained.
-func Fig4DeltaSeries(p client.Profile, mod ModKind, sizes []int64, added int64, seed int64) []VolumePoint {
-	return RunN(len(sizes), CampaignWorkers, func(i int) VolumePoint {
+// and the base upload's packets are never retained. Sizes fan out
+// over workers (0 = one per CPU, 1 = sequential).
+func Fig4DeltaSeries(p client.Profile, mod ModKind, sizes []int64, added int64, seed int64, workers int) []VolumePoint {
+	return RunN(len(sizes), workers, func(i int) VolumePoint {
 		size := sizes[i]
 		tb := NewStreamingTestbed(p, seed+int64(i)*101, 0)
 		start := tb.Settle()
@@ -83,9 +86,10 @@ func Fig4DeltaSeries(p client.Profile, mod ModKind, sizes []int64, added int64, 
 
 // Fig5CompressionSeries runs the compression test (Sect. 4.5) for one
 // service and file kind: upload files of increasing size and measure
-// the transmitted volume.
-func Fig5CompressionSeries(p client.Profile, kind workload.Kind, sizes []int64, seed int64) []VolumePoint {
-	return RunN(len(sizes), CampaignWorkers, func(i int) VolumePoint {
+// the transmitted volume. Sizes fan out over workers (0 = one per
+// CPU, 1 = sequential).
+func Fig5CompressionSeries(p client.Profile, kind workload.Kind, sizes []int64, seed int64, workers int) []VolumePoint {
+	return RunN(len(sizes), workers, func(i int) VolumePoint {
 		size := sizes[i]
 		tb := NewStreamingTestbed(p, seed+int64(i)*103, 0)
 		start := tb.Settle()
@@ -131,50 +135,32 @@ func fig6Seed(seed int64, wi, rep int) int64 {
 	return campaignSeed(seed+int64(wi)*100003, rep)
 }
 
-// fig6Summaries fans the (workload x repetition) matrix of one Fig. 6
-// campaign over the shared pool and folds it into per-workload
-// summaries. run computes one cell.
-func fig6Summaries(batches []workload.Batch, reps int, run func(wi, rep int) Metrics) []Summary {
-	runs := RunN(len(batches)*reps, CampaignWorkers, func(i int) Metrics {
-		return run(i/reps, i%reps)
-	})
-	out := make([]Summary, 0, len(batches))
-	for wi := range batches {
-		out = append(out, Summarize(runs[wi*reps:(wi+1)*reps]))
-	}
-	return out
+// Fig6Matrix runs the Sect. 5 benchmark campaign (four binary
+// workloads) for every profile under one repetition design, with the
+// full service x workload x repetition matrix flattened onto one
+// worker pool (0 = one per CPU, 1 = sequential) — the
+// campaign-of-campaigns entry point used by cmd/cloudbench. Under an
+// adaptive rule every (service, workload) cell runs its own
+// sequential design, so low-variance cells release their budget early
+// while noisy cells keep sampling up to the cap. Results are
+// bit-identical at any worker count and to running each cell alone.
+func Fig6Matrix(profiles []client.Profile, rule StopRule, seed int64, workers int) []Fig6Result {
+	return fig6Matrix(profiles, campusHost, rule, seed, workers)
 }
 
-// Fig6ForService runs the Sect. 5 benchmark campaign (four binary
-// workloads, `reps` repetitions each) for one service — the
-// single-profile case of Fig6Matrix.
-func Fig6ForService(p client.Profile, reps int, seed int64) Fig6Result {
-	return Fig6Matrix([]client.Profile{p}, reps, seed)[0]
-}
-
-// Fig6Matrix runs the Fig. 6 campaign for every profile with the full
-// service x workload x repetition matrix flattened onto one shared
-// pool — the campaign-of-campaigns entry point used by cmd/cloudbench.
-// Results are bit-identical to calling Fig6ForService per profile.
-func Fig6Matrix(profiles []client.Profile, reps int, seed int64) []Fig6Result {
-	if reps <= 0 {
-		reps = DefaultReps
-	}
+// fig6Matrix is Fig6Matrix from an arbitrary test computer, shared
+// with the campaign path that benchmarks from a vantage.
+func fig6Matrix(profiles []client.Profile, host func() *netem.Host, rule StopRule, seed int64, workers int) []Fig6Result {
 	batches := workload.StandardBenchmarks(workload.Binary)
-	perSvc := len(batches) * reps
-	runs := RunN(len(profiles)*perSvc, CampaignWorkers, func(i int) Metrics {
-		si, rest := i/perSvc, i%perSvc
-		wi, rep := rest/reps, rest%reps
-		return RunSync(profiles[si], batches[wi], fig6Seed(seed, wi, rep), DefaultJitter)
-	})
-	out := make([]Fig6Result, 0, len(profiles))
+	nw := len(batches)
+	sums := sampleCells(len(profiles)*nw, rule, workers,
+		func(c, rep int) int64 { return fig6Seed(seed, c%nw, rep) },
+		func(c int, rng *sim.RNG) Metrics {
+			return runSyncOn(profiles[c/nw], batches[c%nw], host(), rng, DefaultJitter, 0)
+		})
+	out := make([]Fig6Result, len(profiles))
 	for si, p := range profiles {
-		r := Fig6Result{Service: p.Service, Workloads: batches}
-		for wi := range batches {
-			lo := si*perSvc + wi*reps
-			r.Summaries = append(r.Summaries, Summarize(runs[lo:lo+reps]))
-		}
-		out = append(out, r)
+		out[si] = Fig6Result{Service: p.Service, Workloads: batches, Summaries: sums[si*nw : (si+1)*nw : (si+1)*nw]}
 	}
 	return out
 }

@@ -13,7 +13,7 @@ func TestFig4AppendDropboxFlat(t *testing.T) {
 	// Fig. 4 left: Dropbox's upload volume tracks the appended
 	// 100 kB, not the file size.
 	sizes := Fig4Sizes(ModAppend)
-	pts := Fig4DeltaSeries(client.Dropbox(), ModAppend, sizes, added100k, 11)
+	pts := Fig4DeltaSeries(client.Dropbox(), ModAppend, sizes, added100k, 11, 0)
 	for _, p := range pts {
 		if p.Upload > 3*added100k {
 			t.Errorf("dropbox append on %d B file uploaded %d B, want ~100 kB", p.FileSize, p.Upload)
@@ -28,7 +28,7 @@ func TestFig4AppendDropboxFlat(t *testing.T) {
 func TestFig4AppendOthersReupload(t *testing.T) {
 	// Services without delta encoding re-upload the whole file.
 	for _, p := range []client.Profile{client.SkyDrive(), client.CloudDrive()} {
-		pts := Fig4DeltaSeries(p, ModAppend, []int64{1 << 20}, added100k, 12)
+		pts := Fig4DeltaSeries(p, ModAppend, []int64{1 << 20}, added100k, 12, 0)
 		if pts[0].Upload < 1<<20 {
 			t.Errorf("%s append uploaded %d B, want >= file size", p.Service, pts[0].Upload)
 		}
@@ -41,9 +41,9 @@ func TestFig4RandomInsertCombinedEffects(t *testing.T) {
 	// deduplication uploads only the modified chunks (2 of ~3);
 	// SkyDrive re-uploads everything.
 	const size = 10 << 20
-	drop := Fig4DeltaSeries(client.Dropbox(), ModRandom, []int64{size}, added100k, 13)[0].Upload
-	wuala := Fig4DeltaSeries(client.Wuala(), ModRandom, []int64{size}, added100k, 13)[0].Upload
-	sky := Fig4DeltaSeries(client.SkyDrive(), ModRandom, []int64{size}, added100k, 13)[0].Upload
+	drop := Fig4DeltaSeries(client.Dropbox(), ModRandom, []int64{size}, added100k, 13, 0)[0].Upload
+	wuala := Fig4DeltaSeries(client.Wuala(), ModRandom, []int64{size}, added100k, 13, 0)[0].Upload
+	sky := Fig4DeltaSeries(client.SkyDrive(), ModRandom, []int64{size}, added100k, 13, 0)[0].Upload
 
 	if drop < added100k || drop > size/2 {
 		t.Errorf("dropbox random insert uploaded %d, want added<up<size/2", drop)
@@ -62,7 +62,7 @@ func TestFig4RandomInsertCombinedEffects(t *testing.T) {
 func TestFig4PrependDeltaStillSmall(t *testing.T) {
 	// Rolling-hash delta handles shifts: prepending must not blow
 	// up Dropbox's upload for a sub-chunk file.
-	pts := Fig4DeltaSeries(client.Dropbox(), ModPrepend, []int64{1 << 20}, added100k, 14)
+	pts := Fig4DeltaSeries(client.Dropbox(), ModPrepend, []int64{1 << 20}, added100k, 14, 0)
 	if pts[0].Upload > 3*added100k {
 		t.Errorf("dropbox prepend uploaded %d, want ~100 kB", pts[0].Upload)
 	}
@@ -71,7 +71,7 @@ func TestFig4PrependDeltaStillSmall(t *testing.T) {
 func TestFig5CompressionShapes(t *testing.T) {
 	const size = 1 << 20
 	upload := func(p client.Profile, kind workload.Kind) int64 {
-		return Fig5CompressionSeries(p, kind, []int64{size}, 15)[0].Upload
+		return Fig5CompressionSeries(p, kind, []int64{size}, 15, 0)[0].Upload
 	}
 
 	// (a) text: Dropbox and Google Drive compress; SkyDrive does not.
@@ -104,7 +104,7 @@ func TestFig5CompressionShapes(t *testing.T) {
 }
 
 func TestFig6ForServiceShape(t *testing.T) {
-	r := Fig6ForService(client.Wuala(), 2, 16)
+	r := Fig6Matrix([]client.Profile{client.Wuala()}, FixedReps(2), 16, 0)[0]
 	if len(r.Summaries) != 4 || len(r.Workloads) != 4 {
 		t.Fatalf("Fig6 shape: %d summaries", len(r.Summaries))
 	}

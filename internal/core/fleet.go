@@ -321,8 +321,8 @@ type FleetResult struct {
 
 // RunFleet simulates one service day of cfg.Users users against the
 // shared backend and returns the service-side load curves. workers
-// caps the fan-out (0 = the shared CampaignWorkers budget, 1 =
-// sequential); the result is bit-identical at any value.
+// caps the fan-out (0 = one per CPU, 1 = sequential); the result is
+// bit-identical at any value.
 func RunFleet(cfg FleetConfig, workers int) FleetResult {
 	cfg = cfg.withDefaults()
 	starts := classStarts(cfg.Classes, cfg.Users)

@@ -20,7 +20,7 @@ func smallFleet(users int) FleetConfig {
 
 func TestFleetBitIdenticalAcrossWorkers(t *testing.T) {
 	// The acceptance criterion of the fleet engine: one service day is
-	// bit-identical across CampaignWorkers ∈ {1, 2, 8}. Every field of
+	// bit-identical across worker counts {1, 2, 8}. Every field of
 	// FleetResult — including the float ratios and every load-curve
 	// bucket — must match the sequential run exactly, not
 	// approximately.

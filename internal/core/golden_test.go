@@ -66,13 +66,13 @@ type goldenUploads struct {
 func TestGoldenUploadVolumes(t *testing.T) {
 	dropbox := client.Dropbox()
 	got := goldenUploads{
-		Fig4DropboxAppend: Fig4DeltaSeries(dropbox, ModAppend, []int64{1 << 20}, 100<<10, 7)[0].Upload,
-		Fig4DropboxRandom: Fig4DeltaSeries(dropbox, ModRandom, []int64{10 << 20}, 100<<10, 7)[0].Upload,
+		Fig4DropboxAppend: Fig4DeltaSeries(dropbox, ModAppend, []int64{1 << 20}, 100<<10, 7, 0)[0].Upload,
+		Fig4DropboxRandom: Fig4DeltaSeries(dropbox, ModRandom, []int64{10 << 20}, 100<<10, 7, 0)[0].Upload,
 		Fig5Text:          map[string]int64{},
 	}
 	for _, svc := range []string{"dropbox", "googledrive", "wuala"} {
 		p, _ := client.ProfileFor(svc)
-		got.Fig5Text[svc] = Fig5CompressionSeries(p, workload.Text, []int64{1 << 20}, 11)[0].Upload
+		got.Fig5Text[svc] = Fig5CompressionSeries(p, workload.Text, []int64{1 << 20}, 11, 0)[0].Upload
 	}
 	goldenfile.Check(t, "testdata/golden_uploads.json", got)
 }
@@ -83,9 +83,9 @@ func TestGoldenUploadVolumes(t *testing.T) {
 func TestCampaignParallelEquivalence(t *testing.T) {
 	batch := workload.Batch{Count: 20, Size: 10_000, Kind: workload.Binary}
 	p := client.CloudDrive()
-	seq := RunCampaignParallel(p, batch, 6, 42, 1)
+	seq := RunCampaign(p, batch, FixedReps(6), 42, 1)
 	for _, workers := range []int{2, 4, 0} {
-		par := RunCampaignParallel(p, batch, 6, 42, workers)
+		par := RunCampaign(p, batch, FixedReps(6), 42, workers)
 		if !reflect.DeepEqual(seq, par) {
 			t.Errorf("workers=%d: summary differs from sequential engine\n seq %+v\n par %+v",
 				workers, seq, par)

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/client"
-	"repro/internal/cloud"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -44,50 +41,30 @@ func lossSweepSeed(seed int64, si, ri, rep int) int64 {
 	return campaignSeed(seed+int64(si)*1000003+int64(ri)*10007, rep)
 }
 
-// RunSyncLossy is one repetition of a synchronization benchmark over
-// a lossy path from an arbitrary vantage: RunSyncFrom with the
-// network's segment-loss rate set before any traffic (login and
-// settle traffic share the lossy path, as they would in the paper's
-// testbed under netem).
-func RunSyncLossy(p client.Profile, batch workload.Batch, v Vantage, seed int64, jitter, loss float64) Metrics {
-	tb := assembleTestbed(p, cloud.SpecFor(p.Service), vantageHost(v), sim.NewRNG(seed), jitter, true)
-	tb.Net.LossRate = loss
-	start := tb.Settle()
-	t0 := tb.Clock.Now()
-	tb.StartWindow(t0)
-	batch.Materialize(tb.Folder, tb.RNG, t0, "bench")
-	res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
-	tb.Clock.AdvanceTo(res.Done)
-	return MeasureWindow(tb, t0, batch.Total())
-}
-
 // LossSweep runs the service x loss-rate matrix for one workload from
-// the given vantage: reps repetitions per cell, the whole matrix
-// flattened onto the shared scheduler pool like every other campaign
-// layer. Results are ordered service-major, rate-minor, and are
-// bit-identical at any worker count.
-func LossSweep(profiles []client.Profile, rates []float64, batch workload.Batch, v Vantage, reps int, seed int64) []LossCell {
-	if reps <= 0 {
-		reps = DefaultReps
-	}
-	perCell := reps
-	perSvc := len(rates) * perCell
-	runs := RunN(len(profiles)*perSvc, CampaignWorkers, func(i int) Metrics {
-		si, rest := i/perSvc, i%perSvc
-		ri, rep := rest/perCell, rest%perCell
-		return RunSyncLossy(profiles[si], batch, v, lossSweepSeed(seed, si, ri, rep), DefaultJitter, rates[ri])
-	})
-	out := make([]LossCell, 0, len(profiles)*len(rates))
-	for si, p := range profiles {
-		for ri, rate := range rates {
-			lo := si*perSvc + ri*perCell
-			out = append(out, LossCell{
-				Service:  p.Service,
-				LossRate: rate,
-				Workload: batch,
-				Summary:  Summarize(runs[lo : lo+perCell]),
-			})
-		}
+// the given vantage under one repetition design, the whole matrix
+// flattened onto one worker pool (0 = one per CPU, 1 = sequential)
+// like every other campaign layer. With rule.CRN every service draws
+// the same per-(rate, repetition) seed stream, so service-vs-service
+// deltas at one loss rate are paired comparisons. Results are ordered
+// service-major, rate-minor, and are bit-identical at any worker
+// count.
+func LossSweep(profiles []client.Profile, rates []float64, batch workload.Batch, v Vantage, rule StopRule, seed int64, workers int) []LossCell {
+	nr := len(rates)
+	sums := sampleCells(len(profiles)*nr, rule, workers,
+		func(c, rep int) int64 {
+			si := c / nr
+			if rule.CRN {
+				si = 0
+			}
+			return lossSweepSeed(seed, si, c%nr, rep)
+		},
+		func(c int, rng *sim.RNG) Metrics {
+			return runSyncOn(profiles[c/nr], batch, vantageHost(v), rng, DefaultJitter, rates[c%nr])
+		})
+	out := make([]LossCell, len(sums))
+	for c, s := range sums {
+		out[c] = LossCell{Service: profiles[c/nr].Service, LossRate: rates[c%nr], Workload: batch, Summary: s}
 	}
 	return out
 }

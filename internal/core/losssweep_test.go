@@ -13,7 +13,7 @@ func sweepProfiles() []client.Profile {
 // TestLossSweepSlowsWithLoss pins the sweep's physics: for every
 // service, mean completion grows monotonically along the loss axis.
 func TestLossSweepSlowsWithLoss(t *testing.T) {
-	cells := LossSweep(sweepProfiles(), DefaultLossRates, DefaultLossBatch, Twente, 4, 11)
+	cells := LossSweep(sweepProfiles(), DefaultLossRates, DefaultLossBatch, Twente, FixedReps(4), 11, 0)
 	if len(cells) != len(sweepProfiles())*len(DefaultLossRates) {
 		t.Fatalf("cells = %d", len(cells))
 	}
@@ -33,13 +33,9 @@ func TestLossSweepSlowsWithLoss(t *testing.T) {
 // TestLossSweepParallelEquivalence pins the RunN lift: bit-identical
 // cells at any worker count.
 func TestLossSweepParallelEquivalence(t *testing.T) {
-	defer func(old int) { CampaignWorkers = old }(CampaignWorkers)
-
-	CampaignWorkers = 1
-	sequential := LossSweep(sweepProfiles(), []float64{0.005, 0.02}, DefaultLossBatch, Twente, 3, 5)
+	sequential := LossSweep(sweepProfiles(), []float64{0.005, 0.02}, DefaultLossBatch, Twente, FixedReps(3), 5, 1)
 	for _, workers := range []int{2, 8} {
-		CampaignWorkers = workers
-		got := LossSweep(sweepProfiles(), []float64{0.005, 0.02}, DefaultLossBatch, Twente, 3, 5)
+		got := LossSweep(sweepProfiles(), []float64{0.005, 0.02}, DefaultLossBatch, Twente, FixedReps(3), 5, workers)
 		if len(got) != len(sequential) {
 			t.Fatalf("workers=%d: %d cells vs %d", workers, len(got), len(sequential))
 		}
@@ -58,9 +54,9 @@ func TestLossSweepParallelEquivalence(t *testing.T) {
 // an older baseline reports cell_added drift instead of silently
 // shrinking to the clean intersection.
 func TestCompareReportsLossySection(t *testing.T) {
-	old := Campaign{Tool: ToolVersion, Fig6: Fig6Matrix(sweepProfiles(), 1, 3)}
+	old := Campaign{Tool: ToolVersion, Fig6: Fig6Matrix(sweepProfiles(), FixedReps(1), 3, 0)}
 	cur := old
-	cur.Lossy = LossSweep(sweepProfiles(), []float64{0.02}, DefaultLossBatch, Twente, 1, 3)
+	cur.Lossy = LossSweep(sweepProfiles(), []float64{0.02}, DefaultLossBatch, Twente, FixedReps(1), 3, 0)
 
 	if deltas := Compare(cur, cur, 1.3); len(deltas) != 0 {
 		t.Fatalf("campaign with lossy section differs from itself: %v", deltas)

@@ -50,16 +50,17 @@ type Summary struct {
 	MeanOverhead     float64
 	MeanConnections  float64
 	MedianGoodputBps float64
-	// RepsUsed is how many repetitions actually ran. For fixed-rep
-	// campaigns it equals Reps; an adaptive campaign (RunCampaignAdaptive)
-	// stops early when the precision target is met, so snapshots record
-	// the spent budget alongside the result.
+	// RepsUsed is how many repetitions actually ran. It equals Reps;
+	// under an adaptive StopRule a cell stops early when the precision
+	// target is met, so snapshots record the spent budget alongside
+	// the result.
 	RepsUsed int
 	// AchievedRelHW is the achieved relative precision: the largest
 	// CI95 half-width over the headline metrics (completion, goodput),
-	// relative to the magnitude of the respective mean. Adaptive runs
-	// stop when it reaches the target; fixed-rep runs report it so two
-	// snapshots can be compared at equal confidence.
+	// relative to the magnitude of the respective mean (over pair
+	// means under antithetic pairing). Adaptive runs stop when it
+	// reaches the target; fixed-rep runs report it so two snapshots
+	// can be compared at equal confidence.
 	AchievedRelHW float64
 }
 
@@ -101,9 +102,10 @@ func Summarize(runs []Metrics) Summary {
 	return s
 }
 
-// relHalfWidth is the batch form of stats.Accumulator.RelHalfWidth:
-// the CI95 half-width relative to the magnitude of the mean, 0 for a
-// degenerate (zero-spread) sample, +Inf for a zero mean with spread.
+// relHalfWidth is the CI95 half-width relative to the magnitude of the
+// mean — the adaptive stopping statistic: 0 for a degenerate
+// (zero-spread) sample, including n < 2, and +Inf for a zero mean with
+// spread, which never satisfies a finite precision target.
 func relHalfWidth(v []float64) float64 {
 	mean, hw := stats.MeanCI95(v)
 	if hw == 0 {

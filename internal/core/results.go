@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/netem"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // Campaign is a complete, serializable benchmark run: what was
@@ -26,10 +26,11 @@ type Campaign struct {
 	Seed    int64  `json:"seed"`
 	Reps    int    `json:"reps"`
 	// Precision and MaxReps record the stopping rule of an adaptive
-	// campaign (RunFullCampaignAdaptive): the relative half-width
-	// target and the repetition cap. Fixed-rep campaigns leave them
-	// zero; the per-cell Summaries carry the achieved precision
-	// either way (AchievedRelHW, RepsUsed).
+	// campaign (a RunFullCampaign rule with MinReps < MaxReps): the
+	// relative half-width target and the repetition cap. Fixed-rep
+	// campaigns record Reps and leave these zero; the per-cell
+	// Summaries carry the achieved precision either way
+	// (AchievedRelHW, RepsUsed).
 	Precision float64      `json:"precision,omitempty"`
 	MaxReps   int          `json:"max_reps,omitempty"`
 	CreatedAt time.Time    `json:"created_at"`
@@ -215,36 +216,31 @@ func DeltaReport(deltas []Delta) string {
 
 // RunFullCampaign executes the Fig. 6 benchmarks, the idle
 // measurement and the default loss sweep for every service from the
-// given vantage, producing a persistable campaign. The timestamp is
+// given vantage under one repetition design, producing a persistable
+// campaign. A fixed rule is recorded as Reps; an adaptive one as its
+// Precision and MaxReps, alongside the per-cell achieved precision,
+// so snapshots are comparable at equal confidence. The idle section
+// is a single deterministic timeline per service. The timestamp is
 // virtual (the simulation's epoch) so campaigns are byte-identical
-// given a seed.
-func RunFullCampaign(vantage Vantage, reps int, seed int64) Campaign {
+// given a seed; repeated cells fan out over workers (0 = one per CPU,
+// 1 = sequential).
+func RunFullCampaign(vantage Vantage, rule StopRule, seed int64, workers int) Campaign {
+	rule = rule.withDefaults()
 	c := Campaign{
 		Tool: ToolVersion, Vantage: vantage.Name,
-		Seed: seed, Reps: reps,
+		Seed:      seed,
 		CreatedAt: sim.Epoch,
 	}
-	for _, p := range client.Profiles() {
-		c.Fig6 = append(c.Fig6, fig6FromVantage(p, vantage, reps, seed))
+	if rule.MinReps == rule.MaxReps {
+		c.Reps = rule.MinReps
+	} else {
+		c.Precision, c.MaxReps = rule.TargetRelHW, rule.MaxReps
+	}
+	profiles := client.Profiles()
+	c.Fig6 = fig6Matrix(profiles, func() *netem.Host { return vantageHost(vantage) }, rule, seed, workers)
+	for _, p := range profiles {
 		c.Idle = append(c.Idle, RunIdle(p, seed))
 	}
-	c.Lossy = LossSweep(client.Profiles(), DefaultLossRates, DefaultLossBatch, vantage, reps, seed)
+	c.Lossy = LossSweep(profiles, DefaultLossRates, DefaultLossBatch, vantage, rule, seed, workers)
 	return c
-}
-
-// fig6FromVantage is Fig6ForService with the test computer at an
-// arbitrary vantage, the workload x repetition matrix fanned out over
-// the shared scheduler pool.
-func fig6FromVantage(p client.Profile, v Vantage, reps int, seed int64) Fig6Result {
-	if reps <= 0 {
-		reps = DefaultReps
-	}
-	batches := workload.StandardBenchmarks(workload.Binary)
-	return Fig6Result{
-		Service:   p.Service,
-		Workloads: batches,
-		Summaries: fig6Summaries(batches, reps, func(wi, rep int) Metrics {
-			return RunSyncFrom(p, batches[wi], v, fig6Seed(seed, wi, rep), DefaultJitter)
-		}),
-	}
 }

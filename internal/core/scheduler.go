@@ -11,9 +11,10 @@ import (
 // Table 1 capability detection, the Fig. 4/5 size sweeps, the Fig. 6
 // campaigns and the location study are all independent (service,
 // workload, vantage) cells. Every campaign-of-campaigns loop in the
-// package fans its full index space out through RunN, so one knob —
-// CampaignWorkers, cmd/cloudbench's -parallel — governs the whole
-// experiment matrix.
+// package fans its full index space out through RunN, and every
+// exported fan-out takes its worker count explicitly (0 = one per
+// CPU, 1 = sequential) — cmd/cloudbench and cmd/capcheck pass their
+// -parallel value down; there is no process-global knob.
 //
 // Determinism contract: a cell must derive everything it needs (seed,
 // testbed, RNG) from its own index, exactly like campaignSeed does
@@ -22,24 +23,6 @@ import (
 // under any scheduling; -parallel only changes wall-clock time. The
 // golden-equivalence tests in scheduler_test.go pin this for every
 // lifted layer.
-
-// CampaignWorkers is the single parallelism knob of the experiment
-// engine: how many experiment cells (benchmark repetitions, size-sweep
-// points, capability detectors, location-study cells) run concurrently,
-// each on its own testbed. Zero (the default) means one worker per
-// available CPU. Set to 1 to force the sequential engine; results are
-// bit-identical either way. cmd/cloudbench and cmd/capcheck expose
-// this as -parallel.
-var CampaignWorkers int
-
-// workerBudget resolves the effective process-wide worker budget:
-// CampaignWorkers, or one worker per CPU when unset.
-func workerBudget() int {
-	if CampaignWorkers > 0 {
-		return CampaignWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // helpersActive counts helper goroutines currently running across all
 // pools in the process. It is what keeps nested fan-outs (a driver
@@ -69,9 +52,9 @@ func releaseHelper() { helpersActive.Add(-1) }
 
 // RunN executes fn for every index in [0, n) on a bounded worker pool
 // and returns the results in index order. workers caps this call's
-// fan-out explicitly; workers <= 0 defers to the shared budget
-// (CampaignWorkers, default one per CPU). The calling goroutine
-// always works too, so RunN(n, 1, fn) is exactly a sequential loop.
+// fan-out; workers <= 0 means one per CPU (GOMAXPROCS). The calling
+// goroutine always works too, so RunN(n, 1, fn) is exactly a
+// sequential loop.
 // fn must derive everything from its index (see the determinism
 // contract above); RunN guarantees fn(i)'s result lands in slot i
 // regardless of scheduling.
@@ -81,7 +64,7 @@ func RunN[T any](n, workers int, fn func(i int) T) []T {
 	}
 	budget := workers
 	if budget <= 0 {
-		budget = workerBudget()
+		budget = runtime.GOMAXPROCS(0)
 	}
 	if budget > n {
 		budget = n

@@ -9,16 +9,6 @@ import (
 	"repro/internal/workload"
 )
 
-// withWorkers runs fn with CampaignWorkers pinned to w, restoring the
-// previous knob afterwards.
-func withWorkers(t *testing.T, w int, fn func()) {
-	t.Helper()
-	old := CampaignWorkers
-	CampaignWorkers = w
-	defer func() { CampaignWorkers = old }()
-	fn()
-}
-
 // equivalenceWorkerCounts are the worker counts every lifted layer is
 // pinned at: forced-sequential, a small pool, and a pool larger than
 // most cell counts.
@@ -108,13 +98,11 @@ func TestRunNNestedSharesBudget(t *testing.T) {
 // ---- parallel-vs-sequential golden equivalence per lifted layer ----
 
 func TestFig6ForServiceParallelEquivalence(t *testing.T) {
-	var seq Fig6Result
-	withWorkers(t, 1, func() { seq = Fig6ForService(client.CloudDrive(), 3, 42) })
+	one := []client.Profile{client.CloudDrive()}
+	seq := Fig6Matrix(one, FixedReps(3), 42, 1)
 	for _, w := range equivalenceWorkerCounts[1:] {
-		var par Fig6Result
-		withWorkers(t, w, func() { par = Fig6ForService(client.CloudDrive(), 3, 42) })
-		if !reflect.DeepEqual(seq, par) {
-			t.Errorf("workers=%d: Fig6ForService differs from sequential\n seq %+v\n par %+v", w, seq, par)
+		if par := Fig6Matrix(one, FixedReps(3), 42, w); !reflect.DeepEqual(seq, par) {
+			t.Errorf("workers=%d: Fig6Matrix differs from sequential\n seq %+v\n par %+v", w, seq, par)
 		}
 	}
 }
@@ -122,18 +110,16 @@ func TestFig6ForServiceParallelEquivalence(t *testing.T) {
 func TestFig6MatrixMatchesPerService(t *testing.T) {
 	profiles := []client.Profile{client.CloudDrive(), client.Wuala()}
 	for _, w := range equivalenceWorkerCounts {
-		withWorkers(t, w, func() {
-			matrix := Fig6Matrix(profiles, 2, 42)
-			if len(matrix) != len(profiles) {
-				t.Fatalf("workers=%d: matrix has %d services", w, len(matrix))
+		matrix := Fig6Matrix(profiles, FixedReps(2), 42, w)
+		if len(matrix) != len(profiles) {
+			t.Fatalf("workers=%d: matrix has %d services", w, len(matrix))
+		}
+		for i, p := range profiles {
+			single := Fig6Matrix([]client.Profile{p}, FixedReps(2), 42, w)[0]
+			if !reflect.DeepEqual(matrix[i], single) {
+				t.Errorf("workers=%d: matrix[%s] differs from the single-service run", w, p.Service)
 			}
-			for i, p := range profiles {
-				single := Fig6ForService(p, 2, 42)
-				if !reflect.DeepEqual(matrix[i], single) {
-					t.Errorf("workers=%d: matrix[%s] differs from Fig6ForService", w, p.Service)
-				}
-			}
-		})
+		}
 	}
 }
 
@@ -141,12 +127,9 @@ func TestLocationStudyParallelEquivalence(t *testing.T) {
 	batch := workload.Batch{Count: 1, Size: 100 << 10, Kind: workload.Binary}
 	sea, _ := VantageByName("SEA")
 	vantages := []Vantage{Twente, sea}
-	var seq []LocationCell
-	withWorkers(t, 1, func() { seq = LocationStudy(batch, vantages, 63) })
+	seq := LocationStudy(batch, vantages, 63, 1)
 	for _, w := range equivalenceWorkerCounts[1:] {
-		var par []LocationCell
-		withWorkers(t, w, func() { par = LocationStudy(batch, vantages, 63) })
-		if !reflect.DeepEqual(seq, par) {
+		if par := LocationStudy(batch, vantages, 63, w); !reflect.DeepEqual(seq, par) {
 			t.Errorf("workers=%d: LocationStudy differs from sequential", w)
 		}
 	}
@@ -154,12 +137,9 @@ func TestLocationStudyParallelEquivalence(t *testing.T) {
 
 func TestFig4DeltaSeriesParallelEquivalence(t *testing.T) {
 	sizes := []int64{100 << 10, 1 << 20, 2 << 20}
-	var seq []VolumePoint
-	withWorkers(t, 1, func() { seq = Fig4DeltaSeries(client.Dropbox(), ModRandom, sizes, added100k, 21) })
+	seq := Fig4DeltaSeries(client.Dropbox(), ModRandom, sizes, added100k, 21, 1)
 	for _, w := range equivalenceWorkerCounts[1:] {
-		var par []VolumePoint
-		withWorkers(t, w, func() { par = Fig4DeltaSeries(client.Dropbox(), ModRandom, sizes, added100k, 21) })
-		if !reflect.DeepEqual(seq, par) {
+		if par := Fig4DeltaSeries(client.Dropbox(), ModRandom, sizes, added100k, 21, w); !reflect.DeepEqual(seq, par) {
 			t.Errorf("workers=%d: Fig4DeltaSeries differs from sequential\n seq %v\n par %v", w, seq, par)
 		}
 	}
@@ -167,12 +147,9 @@ func TestFig4DeltaSeriesParallelEquivalence(t *testing.T) {
 
 func TestFig5CompressionSeriesParallelEquivalence(t *testing.T) {
 	sizes := []int64{100 << 10, 500 << 10, 1 << 20}
-	var seq []VolumePoint
-	withWorkers(t, 1, func() { seq = Fig5CompressionSeries(client.Dropbox(), workload.Text, sizes, 22) })
+	seq := Fig5CompressionSeries(client.Dropbox(), workload.Text, sizes, 22, 1)
 	for _, w := range equivalenceWorkerCounts[1:] {
-		var par []VolumePoint
-		withWorkers(t, w, func() { par = Fig5CompressionSeries(client.Dropbox(), workload.Text, sizes, 22) })
-		if !reflect.DeepEqual(seq, par) {
+		if par := Fig5CompressionSeries(client.Dropbox(), workload.Text, sizes, 22, w); !reflect.DeepEqual(seq, par) {
 			t.Errorf("workers=%d: Fig5CompressionSeries differs from sequential\n seq %v\n par %v", w, seq, par)
 		}
 	}
@@ -183,20 +160,16 @@ func TestDetectCapabilitiesParallelEquivalence(t *testing.T) {
 		t.Skip("full capability suite per worker count is long")
 	}
 	p := client.Dropbox()
-	var seq Capabilities
-	withWorkers(t, 1, func() { seq = DetectCapabilities(p, 7) })
+	seq := DetectCapabilities(p, 7, 1)
 	for _, w := range equivalenceWorkerCounts[1:] {
-		var par Capabilities
-		withWorkers(t, w, func() { par = DetectCapabilities(p, 7) })
-		if seq != par {
+		if par := DetectCapabilities(p, 7, w); seq != par {
 			t.Errorf("workers=%d: DetectCapabilities differs from sequential\n seq %+v\n par %+v", w, seq, par)
 		}
 	}
 	// The flattened service x detector matrix must agree with the
 	// single-service path.
 	profiles := []client.Profile{client.Dropbox(), client.CloudDrive()}
-	var all map[string]Capabilities
-	withWorkers(t, 8, func() { all = DetectCapabilitiesAll(profiles, 7) })
+	all := DetectCapabilitiesAll(profiles, 7, 8)
 	if all["dropbox"] != seq {
 		t.Errorf("DetectCapabilitiesAll[dropbox] = %+v, want %+v", all["dropbox"], seq)
 	}

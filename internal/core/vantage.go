@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/cloud"
@@ -57,20 +56,6 @@ func vantageHost(v Vantage) *netem.Host {
 	}
 }
 
-// RunSyncFrom is RunSync from an arbitrary vantage; like RunSync it
-// streams the trace, so location-study cells share the O(flows)
-// memory profile of the campaign engine.
-func RunSyncFrom(p client.Profile, batch workload.Batch, v Vantage, seed int64, jitter float64) Metrics {
-	tb := assembleTestbed(p, cloud.SpecFor(p.Service), vantageHost(v), sim.NewRNG(seed), jitter, true)
-	start := tb.Settle()
-	t0 := tb.Clock.Now()
-	tb.StartWindow(t0)
-	batch.Materialize(tb.Folder, tb.RNG, t0, "bench")
-	res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
-	tb.Clock.AdvanceTo(res.Done)
-	return MeasureWindow(tb, t0, batch.Total())
-}
-
 // LocationCell is one (service, vantage) measurement of a location
 // study.
 type LocationCell struct {
@@ -83,17 +68,18 @@ type LocationCell struct {
 // same workload — the comparison the paper's public-tool release was
 // meant to enable. Single repetition per cell, jitter-free (location
 // effects dwarf noise). The service x vantage matrix fans out over
-// the shared scheduler pool; every cell builds its own testbed from
-// the shared seed, so results are bit-identical at any worker count.
-func LocationStudy(batch workload.Batch, vantages []Vantage, seed int64) []LocationCell {
+// workers (0 = one per CPU, 1 = sequential); every cell builds its own
+// testbed from the shared seed, so results are bit-identical at any
+// worker count.
+func LocationStudy(batch workload.Batch, vantages []Vantage, seed int64, workers int) []LocationCell {
 	profiles := client.Profiles()
-	return RunN(len(profiles)*len(vantages), CampaignWorkers, func(i int) LocationCell {
+	return RunN(len(profiles)*len(vantages), workers, func(i int) LocationCell {
 		p := profiles[i/len(vantages)]
 		v := vantages[i%len(vantages)]
 		return LocationCell{
 			Service: p.Service,
 			Vantage: v.Name,
-			Metrics: RunSyncFrom(p, batch, v, seed, 0),
+			Metrics: runSyncOn(p, batch, vantageHost(v), sim.NewRNG(seed), 0, 0),
 		}
 	})
 }

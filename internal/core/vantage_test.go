@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/client"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -31,10 +32,10 @@ func TestLocationChangesTheWinner(t *testing.T) {
 	batch := workload.Batch{Count: 1, Size: 1 << 20, Kind: workload.Binary}
 	sea, _ := VantageByName("SEA")
 
-	wualaEU := RunSyncFrom(client.Wuala(), batch, Twente, 61, 0)
-	wualaUS := RunSyncFrom(client.Wuala(), batch, sea, 61, 0)
-	skyEU := RunSyncFrom(client.SkyDrive(), batch, Twente, 61, 0)
-	skyUS := RunSyncFrom(client.SkyDrive(), batch, sea, 61, 0)
+	wualaEU := syncFrom(client.Wuala(), batch, Twente, 61)
+	wualaUS := syncFrom(client.Wuala(), batch, sea, 61)
+	skyEU := syncFrom(client.SkyDrive(), batch, Twente, 61)
+	skyUS := syncFrom(client.SkyDrive(), batch, sea, 61)
 
 	if wualaEU.Completion >= skyEU.Completion {
 		t.Fatalf("from Twente Wuala (%v) should beat SkyDrive (%v)",
@@ -56,8 +57,8 @@ func TestGoogleDriveEdgeFollowsTheClient(t *testing.T) {
 	// location-insensitive — its advantage over centralized designs.
 	batch := workload.Batch{Count: 1, Size: 1 << 20, Kind: workload.Binary}
 	syd, _ := VantageByName("SYD")
-	eu := RunSyncFrom(client.GoogleDrive(), batch, Twente, 62, 0)
-	au := RunSyncFrom(client.GoogleDrive(), batch, syd, 62, 0)
+	eu := syncFrom(client.GoogleDrive(), batch, Twente, 62)
+	au := syncFrom(client.GoogleDrive(), batch, syd, 62)
 	ratio := au.Completion.Seconds() / eu.Completion.Seconds()
 	if ratio > 2.0 || ratio < 0.5 {
 		t.Fatalf("edge network should level locations: Twente %v vs Sydney %v",
@@ -69,7 +70,7 @@ func TestLocationStudyAndReport(t *testing.T) {
 	batch := workload.Batch{Count: 1, Size: 100 << 10, Kind: workload.Binary}
 	sea, _ := VantageByName("SEA")
 	vs := []Vantage{Twente, sea}
-	cells := LocationStudy(batch, vs, 63)
+	cells := LocationStudy(batch, vs, 63, 0)
 	if len(cells) != len(client.Profiles())*2 {
 		t.Fatalf("cells = %d", len(cells))
 	}
@@ -79,4 +80,9 @@ func TestLocationStudyAndReport(t *testing.T) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// syncFrom is one jitter-free synchronization repetition from vantage v.
+func syncFrom(p client.Profile, batch workload.Batch, v Vantage, seed int64) Metrics {
+	return runSyncOn(p, batch, vantageHost(v), sim.NewRNG(seed), 0, 0)
 }

@@ -56,7 +56,7 @@ func WhatIfDropboxSmartCompression(seed int64) WhatIfResult {
 	// "ordinary JPEG" stand-in (its body really does not compress).
 	const size = 1 << 20
 	upload := func(p client.Profile) float64 {
-		pts := Fig5CompressionSeries(p, workload.PixelImage, []int64{size}, seed)
+		pts := Fig5CompressionSeries(p, workload.PixelImage, []int64{size}, seed, 1)
 		return float64(pts[0].Upload) / 1e6
 	}
 	smart := client.Dropbox()
@@ -142,11 +142,11 @@ var whatIfStudies = []func(int64) WhatIfResult{
 	WhatIfLossyPath,
 }
 
-// WhatIfStudies runs every counterfactual, fanned out over the shared
-// campaign worker budget like every other campaign layer; results
-// stay in declaration order regardless of worker count.
-func WhatIfStudies(seed int64) []WhatIfResult {
-	return RunN(len(whatIfStudies), CampaignWorkers, func(i int) WhatIfResult {
+// WhatIfStudies runs every counterfactual, fanned out over workers
+// (0 = one per CPU, 1 = sequential) like every other campaign layer;
+// results stay in declaration order regardless of worker count.
+func WhatIfStudies(seed int64, workers int) []WhatIfResult {
+	return RunN(len(whatIfStudies), workers, func(i int) WhatIfResult {
 		return whatIfStudies[i](seed)
 	})
 }

@@ -49,7 +49,7 @@ func TestWhatIfLossyPath(t *testing.T) {
 }
 
 func TestWhatIfStudiesComplete(t *testing.T) {
-	if got := len(WhatIfStudies(75)); got != 4 {
+	if got := len(WhatIfStudies(75, 0)); got != 4 {
 		t.Fatalf("studies = %d", got)
 	}
 }
@@ -58,13 +58,9 @@ func TestWhatIfStudiesComplete(t *testing.T) {
 // must produce bit-identical results in declaration order at any
 // worker count — each study derives everything from the base seed.
 func TestWhatIfStudiesParallelEquivalence(t *testing.T) {
-	defer func(old int) { CampaignWorkers = old }(CampaignWorkers)
-
-	CampaignWorkers = 1
-	sequential := WhatIfStudies(77)
+	sequential := WhatIfStudies(77, 1)
 	for _, workers := range []int{2, 8} {
-		CampaignWorkers = workers
-		got := WhatIfStudies(77)
+		got := WhatIfStudies(77, workers)
 		if len(got) != len(sequential) {
 			t.Fatalf("workers=%d: %d studies vs %d sequential", workers, len(got), len(sequential))
 		}

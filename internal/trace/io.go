@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -23,6 +24,16 @@ const (
 	formatVersion   = "cloudbench-trace-v2"
 	formatVersionV1 = "cloudbench-trace-v1"
 )
+
+// maxExpandedPackets bounds the per-round packets a loaded trace may
+// stand for once its spans are expanded (ExpandedPackets allocates one
+// Packet per slice). The largest traces the repo's own tools write are
+// a few thousand packets — cmd/tracedump's Cloud Drive run of the
+// 100 x 10 kB Fig. 6 batch expands to 4,424, a 1000-file batch to
+// 44,024 — so 2^20 leaves over 20x headroom above even that while
+// capping the expansion near 100 MB instead of letting a few hundred
+// hand-written bytes claim terabytes.
+const maxExpandedPackets = 1 << 20
 
 // WriteCSV serializes the capture, span records included.
 func (c *Capture) WriteCSV(w io.Writer) error {
@@ -82,6 +93,7 @@ func ReadCSV(r io.Reader) (*Capture, error) {
 	c := NewCapture()
 	line := 0
 	sawVersion := false
+	expanded := 0
 	for sc.Scan() {
 		line++
 		text := strings.TrimSpace(sc.Text())
@@ -153,6 +165,10 @@ func ReadCSV(r io.Reader) (*Capture, error) {
 					return nil, fmt.Errorf("trace: line %d: plain record carries span fields", line)
 				}
 			}
+			if p.SliceCount() > maxExpandedPackets-expanded {
+				return nil, fmt.Errorf("trace: line %d: trace expands beyond %d packets", line, maxExpandedPackets)
+			}
+			expanded += p.SliceCount()
 			c.Record(p)
 		default:
 			return nil, fmt.Errorf("trace: line %d: unknown record type %q", line, fields[0])
@@ -172,10 +188,18 @@ func ReadCSV(r io.Reader) (*Capture, error) {
 // analyzer's O(1) folds rely on. Corrupt or hand-edited files fail
 // loudly instead of silently mis-attributing bytes.
 func validateSpan(p Packet) error {
-	last := p.Payload - int64(p.Slices-1)*p.SliceBytes
-	if p.SliceBytes <= 0 || last <= 0 || last > p.SliceBytes || p.SliceGap < 0 {
+	invalid := func() error {
 		return fmt.Errorf("invalid span parameters (slices=%d slice_bytes=%d payload=%d gap=%d)",
 			p.Slices, p.SliceBytes, p.Payload, p.SliceGap)
+	}
+	// The full slices' product must not wrap: Span's totals would
+	// wrap the same way and the consistency check below would pass.
+	if p.SliceBytes <= 0 || p.SliceGap < 0 || p.SliceBytes > math.MaxInt64/int64(p.Slices-1) {
+		return invalid()
+	}
+	last := p.Payload - int64(p.Slices-1)*p.SliceBytes
+	if last <= 0 || last > p.SliceBytes {
+		return invalid()
 	}
 	want := Span(p.Time, p.Flow, p.Dir, p.Flags, p.Slices, p.SliceBytes, last, p.SliceGap)
 	if p != want {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -320,6 +321,53 @@ func TestReadCSVRejectsCorruptSpan(t *testing.T) {
 		if _, err := ReadCSV(bytes.NewReader([]byte(in))); err == nil {
 			t.Errorf("case %d: corrupt span accepted", i)
 		}
+	}
+}
+
+// TestReadCSVRejectsHostileSpans pins the allocation guards of the
+// loader: a few hundred hand-written bytes may not claim more packets
+// than any real trace, nor slicing parameters whose product wraps
+// int64 (the aggregate totals wrap the same way and would pass the
+// consistency check).
+func TestReadCSVRejectsHostileSpans(t *testing.T) {
+	// One internally consistent span of 2^40 one-byte slices: Analyze
+	// would report 1,099,511,627,776 packets and ExpandedPackets would
+	// try to allocate them.
+	huge := "#cloudbench-trace-v2\n" +
+		"f,0,10.0.0.1,4000,5.5.5.5,443,0,s.example,1382486400000000000\n" +
+		"p,1382486400000000000,0,0,A,1099511627776,73667279060992,1099511627776,72567767433216,1099511627776,1,1000\n"
+	if _, err := ReadCSV(strings.NewReader(huge)); err == nil {
+		t.Error("span of 2^40 slices accepted")
+	}
+
+	csv := func(spans ...Packet) *bytes.Buffer {
+		c := NewCapture()
+		c.OpenFlow(FlowKey{ClientAddr: "10.0.0.1", ClientPort: 4000, ServerAddr: "5.5.5.5", ServerPort: 443}, "s.example", t0)
+		for _, p := range spans {
+			c.Record(p)
+		}
+		var buf bytes.Buffer
+		if err := c.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return &buf
+	}
+	// 2^19 full slices of 2^45 bytes: the product is 2^64, which wraps
+	// to 0, so a one-byte payload looks like a one-byte last slice.
+	wrap := Span(t0, 0, Upstream, Flags{ACK: true}, 1<<19+1, 1<<45, 1, time.Millisecond)
+	if err := validateSpan(wrap); err == nil {
+		t.Error("validateSpan accepted a wrapping slice product")
+	}
+	if _, err := ReadCSV(csv(wrap)); err == nil {
+		t.Error("span with a wrapping slice product accepted")
+	}
+	// Spans each within the bound whose sum is not.
+	half := Span(t0, 0, Upstream, Flags{ACK: true}, maxExpandedPackets/2+1, 1, 1, time.Millisecond)
+	if _, err := ReadCSV(csv(half)); err != nil {
+		t.Fatalf("span within the bound rejected: %v", err)
+	}
+	if _, err := ReadCSV(csv(half, half)); err == nil {
+		t.Error("trace expanding beyond the bound accepted")
 	}
 }
 
