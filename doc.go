@@ -30,11 +30,10 @@
 //     through the same closed-form schedule, and each recovery epoch
 //     (window halving, fast-retransmit record) is evaluated exactly
 //     as the per-round loop would — a lossy transfer costs O(losses),
-//     not O(rounds). Dialer.ForceEventLoop keeps that loop as the
-//     reference engine: bit-identical under injected loss positions,
-//     distributionally equivalent under RNG-driven loss (both pinned
-//     by internal/tcpsim's equivalence suites and timed by the
-//     benchsnap transport micros).
+//     not O(rounds). A per-round loop in internal/tcpsim's tests is
+//     the reference engine: bit-identical under injected loss
+//     positions, distributionally equivalent under RNG-driven loss
+//     (both pinned by the package's equivalence suites).
 //   - internal/trace.Sink is the recording boundary the transport
 //     simulator writes against, with two implementations. Capture
 //     records packets append-only; stragglers from connections
@@ -71,15 +70,10 @@
 //     RunIdle's cumulative timeline, AnalyzeProtocols' activity
 //     clustering, the Sect. 4 capability detectors, RunPropagation,
 //     RunRecovery, cmd/tracedump — keep a buffered Capture.
-//   - internal/sim runs two randomness engines behind one RNG API.
-//     The default engine is PCG (RXS-M-XS-64) seeded through
+//   - internal/sim's RNG is PCG (RXS-M-XS-64) seeded through
 //     SplitMix64: RNG.Fork is O(1) — two mixing rounds build a child's
 //     whole state — and RNG.Fill generates eight bytes per step, so
-//     file materialisation is memory-bandwidth bound. The legacy
-//     math/rand engine (one 607-word lagged-Fibonacci init per Fork,
-//     ~50% of a Cloud Drive campaign repetition before the switch)
-//     survives behind sim.NewLegacyRNG as the reference engine for the
-//     structural-equivalence tests, mirroring Dialer.ForceEventLoop.
+//     file materialisation is memory-bandwidth bound.
 //   - internal/workload generates files as content descriptors: a
 //     folder file is the lazy recipe (Kind, Seed, Size), not bytes.
 //     The planner (internal/client) materialises at the chunk boundary
@@ -87,11 +81,10 @@
 //     dedup hashing, delta signatures, encryption, or a compression
 //     cache miss — into pooled buffers released at the end of each
 //     plan. A no-capability client (Cloud Drive) plans entire uploads
-//     from descriptors alone: zero content bytes ever exist. The
-//     benchsnap content micro tracks both engines per repetition.
+//     from descriptors alone: zero content bytes ever exist.
 //   - internal/compressor memoises size-only DEFLATE twice over:
 //     descriptor-backed chunks key the cache by content identity
-//     (generator, seed, size, chunk window) — no hashing, and on
+//     (kind, seed, size, chunk window) — no hashing, and on
 //     repeats no generation — while ad-hoc bytes fall back to the
 //     SHA-256 hash cache (still ~10x cheaper than the level-6 flate it
 //     skips). Sizes stay exact either way, so campaigns that re-plan
@@ -150,7 +143,8 @@
 // end of the pool). On the golden Cloud Drive cell that pairing is
 // what turns the far-server connection count — the variance driver —
 // negatively correlated across twins, reaching the fixed-24-rep
-// precision in 16 repetitions (the benchsnap adaptive micro pins it).
+// precision in 16 repetitions (TestAntitheticBeatsPlainOnGoldenWorkload
+// pins it).
 // CRN gives every service a common repetition seed stream in the
 // multi-service sweeps, so cross-service deltas are paired
 // comparisons. Summaries record RepsUsed and AchievedRelHW, adaptive
@@ -207,9 +201,8 @@
 //
 // cmd/fleetbench reports the service-side load curves (bytes/s,
 // concurrent connections, dedup ratio vs population size) and takes
-// -cpuprofile/-memprofile for engine work; the benchsnap fleet micro
-// pins users/sec/core, allocated bytes per session, and a store
-// hammer curve over goroutine and shard counts; and
+// -cpuprofile/-memprofile for engine work; perfbench's fleet-day
+// workload times it end to end with per-module attribution; and
 // scripts/fleetsmoke.sh byte-compares fleetbench reports across
 // worker counts and store shard counts in CI.
 //
@@ -230,8 +223,9 @@
 // scripts/regen-golden.sh and declares the new perf baseline in a
 // committed BASELINE_RESET marker, which scripts/trendcheck.sh then
 // verifies corresponds to real drift (silent baseline rewrites fail
-// CI either way). scripts/bench.sh snapshots engine performance
-// (BENCH_<sha>.json, diffable with cmd/comparebench).
+// CI either way). scripts/bench.sh snapshots the simulated Fig. 6
+// campaign (BENCH_<sha>.json, diffable with cmd/comparebench);
+// perfbench times the engine itself, parent against change.
 //
 // The determinism contract is also machine-enforced: cmd/simlint
 // (scripts/lint.sh, or go vet -vettool) runs four custom analyzers —

@@ -87,10 +87,9 @@ var runnerPrefixes = []string{
 }
 
 var runnerExact = map[string]bool{
-	"NewTestbed":                true,
-	"NewStreamingTestbed":       true,
-	"NewLegacyStreamingTestbed": true,
-	"NewDialer":                 true,
+	"NewTestbed":          true,
+	"NewStreamingTestbed": true,
+	"NewDialer":           true,
 }
 
 // enginePkgs are the packages whose runner calls gate the check: the

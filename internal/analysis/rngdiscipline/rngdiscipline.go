@@ -7,8 +7,8 @@
 //  1. Non-test code outside internal/sim must not import math/rand
 //     (any version); nothing may import crypto/rand. sim.RNG is the
 //     only randomness the simulation knows, and internal/sim is its
-//     only implementation site (the legacy math/rand reference engine
-//     lives there on purpose).
+//     only implementation site: sim keeps math/rand only to wrap the
+//     PCG source (rand.New over it supplies the derived draws).
 //
 //  2. Test files may build seeded scratch randomness —
 //     rand.New(rand.NewSource(k)) is deterministic by the Go 1

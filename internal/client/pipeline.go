@@ -99,14 +99,10 @@ func (pl *planner) split(data []byte) []chunker.Chunk {
 
 // descChunkKey names one chunk of a descriptor's content for the
 // compressor's size cache: the chunk bytes are a pure function of
-// (generator, seed, size, offset, length), so the cache never needs to
+// (kind, seed, size, offset, length), so the cache never needs to
 // hash — or even generate — the content to recognise it.
 func descChunkKey(d workload.Descriptor, off, ln int64) compressor.ContentKey {
-	gen := uint32(d.Kind) + 1
-	if d.Legacy() {
-		gen |= 1 << 16
-	}
-	return compressor.ContentKey{Gen: gen, Seed: d.Seed, Size: d.Size, Off: off, Len: ln}
+	return compressor.ContentKey{Gen: uint32(d.Kind) + 1, Seed: d.Seed, Size: d.Size, Off: off, Len: ln}
 }
 
 // PlanFile computes the upload plan for one created or modified file,

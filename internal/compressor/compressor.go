@@ -192,7 +192,7 @@ func deflatedSize(data []byte) int64 {
 // SHA-256 over megabytes of content — and, for lazily planned files,
 // the content generation itself.
 type ContentKey struct {
-	Gen  uint32 // generator id: content kind + engine
+	Gen  uint32 // generator id: content kind
 	Seed int64  // descriptor stream seed
 	Size int64  // whole-content length
 	Off  int64  // chunk offset within the content

@@ -232,11 +232,11 @@ func TestAdaptiveMatchesFixedPrefix(t *testing.T) {
 }
 
 // TestAntitheticBeatsPlainOnGoldenWorkload is the acceptance number of
-// the PR: at the precision a fixed 24-rep Cloud Drive campaign
-// achieves, the antithetic adaptive run gets there with measurably
-// fewer repetitions. The exact counts are deterministic, so they are
-// pinned — if a model change shifts them, re-measure and re-pin
-// alongside the benchsnap adaptive micro.
+// antithetic pairing: at the precision a fixed 24-rep Cloud Drive
+// campaign achieves, the antithetic adaptive run gets there with
+// measurably fewer repetitions. The exact counts are deterministic, so
+// they are pinned — if a model change shifts them, re-measure and
+// re-pin.
 func TestAntitheticBeatsPlainOnGoldenWorkload(t *testing.T) {
 	p := client.CloudDrive()
 	batch := goldenAdaptiveBatch()

@@ -11,23 +11,15 @@ import (
 	"repro/internal/workload"
 )
 
-// The PCG content pipeline changed every simulated byte, so the PR-1
-// golden values were regenerated (testdata/, scripts/regen-golden.sh).
-// What must NOT change is the structure of the simulation: file sizes,
-// connection counts, metric shapes, and — where content entropy is the
-// only variable — the exact traffic volumes. This file is the
-// randomized harness pinning that structure between the legacy
-// math/rand reference engine and the PCG engine.
+// The seed decides every simulated byte and jitter draw, but not the
+// structure of the simulation: file sizes, connection counts, metric
+// shapes, and — where content entropy is the only variable — the
+// exact traffic volumes. This file is the randomized harness pinning
+// that structure across pairs of seeds.
 
-// runRepEngine executes one streamed campaign repetition on either
-// engine.
-func runRepEngine(p client.Profile, batch workload.Batch, seed int64, legacy bool) Metrics {
-	var tb *Testbed
-	if legacy {
-		tb = NewLegacyStreamingTestbed(p, seed, DefaultJitter)
-	} else {
-		tb = NewStreamingTestbed(p, seed, DefaultJitter)
-	}
+// runRepSeed executes one streamed campaign repetition.
+func runRepSeed(p client.Profile, batch workload.Batch, seed int64) Metrics {
+	tb := NewStreamingTestbed(p, seed, DefaultJitter)
 	start := tb.Settle()
 	t0 := tb.Clock.Now()
 	tb.StartWindow(t0)
@@ -46,20 +38,21 @@ func within(a, b, frac float64) bool {
 	return math.Abs(a-b) <= frac*m
 }
 
-// TestLegacyVsPCGStructuralEquivalence runs randomized campaign cells
-// through both engines and pins the preserved structure:
+// TestPCGSeedPairStructuralEquivalence runs randomized campaign cells
+// under a seed and its partner seed^0x5bd1e995 and pins the structure
+// the seed does not decide:
 //
 //   - Connections are byte-independent (file counts and connection
 //     strategy decide them): exactly equal.
 //   - Every metric keeps its shape: populated, positive, overhead
 //     consistent with traffic.
 //   - Traffic volumes agree within a small band — content entropy is
-//     equivalent between engines, so only chunk-boundary and
+//     the same under every seed, so only chunk-boundary and
 //     compression noise may move them (and for a no-capability client
-//     over incompressible content, nothing may: exact equality).
-//   - Each engine is deterministic: re-running a cell reproduces it
-//     bit for bit.
-func TestLegacyVsPCGStructuralEquivalence(t *testing.T) {
+//     over incompressible content, only ACK noise).
+//   - Each run is deterministic: re-running a cell reproduces it bit
+//     for bit.
+func TestPCGSeedPairStructuralEquivalence(t *testing.T) {
 	meta := rand.New(rand.NewSource(17))
 	kinds := []workload.Kind{workload.Binary, workload.Text, workload.FakeJPEG}
 	for _, p := range client.Profiles() {
@@ -70,23 +63,24 @@ func TestLegacyVsPCGStructuralEquivalence(t *testing.T) {
 				Kind:  kinds[meta.Intn(len(kinds))],
 			}
 			seed := meta.Int63n(1 << 30)
-			pcg := runRepEngine(p, batch, seed, false)
-			leg := runRepEngine(p, batch, seed, true)
+			partner := seed ^ 0x5bd1e995
+			a := runRepSeed(p, batch, seed)
+			b := runRepSeed(p, batch, partner)
 
-			if pcg.Connections != leg.Connections {
-				t.Errorf("%s %s seed=%d: connections %d (pcg) vs %d (legacy)",
-					p.Service, batch, seed, pcg.Connections, leg.Connections)
+			if a.Connections != b.Connections {
+				t.Errorf("%s %s seed=%d: connections %d vs %d (partner seed)",
+					p.Service, batch, seed, a.Connections, b.Connections)
 			}
 			for _, v := range []struct {
 				name string
 				pair [2]float64
 			}{
-				{"TotalTraffic", [2]float64{float64(pcg.TotalTraffic), float64(leg.TotalTraffic)}},
-				{"StorageUp", [2]float64{float64(pcg.StorageUp), float64(leg.StorageUp)}},
+				{"TotalTraffic", [2]float64{float64(a.TotalTraffic), float64(b.TotalTraffic)}},
+				{"StorageUp", [2]float64{float64(a.StorageUp), float64(b.StorageUp)}},
 			} {
 				name, pair := v.name, v.pair
 				if pair[0] <= 0 || pair[1] <= 0 {
-					t.Errorf("%s %s seed=%d: %s not populated (pcg %v, legacy %v)",
+					t.Errorf("%s %s seed=%d: %s not populated (%v, partner %v)",
 						p.Service, batch, seed, name, pair[0], pair[1])
 				}
 				// Content entropy is equivalent; only chunk boundaries
@@ -103,63 +97,41 @@ func TestLegacyVsPCGStructuralEquivalence(t *testing.T) {
 				// timing effect of the differing jitter draws) may
 				// move the wire total, and only by a handful of bare
 				// segments.
-				if !within(float64(pcg.TotalTraffic), float64(leg.TotalTraffic), 0.001) ||
-					!within(float64(pcg.StorageUp), float64(leg.StorageUp), 0.001) {
+				if !within(float64(a.TotalTraffic), float64(b.TotalTraffic), 0.001) ||
+					!within(float64(a.StorageUp), float64(b.StorageUp), 0.001) {
 					t.Errorf("%s %s seed=%d: byte-independent traffic differs beyond ACK noise: %d/%d vs %d/%d",
 						p.Service, batch, seed,
-						pcg.TotalTraffic, pcg.StorageUp, leg.TotalTraffic, leg.StorageUp)
+						a.TotalTraffic, a.StorageUp, b.TotalTraffic, b.StorageUp)
 				}
 			}
 			for _, v := range []struct {
 				name string
 				pair [2]time.Duration
 			}{
-				{"Startup", [2]time.Duration{pcg.Startup, leg.Startup}},
-				{"Completion", [2]time.Duration{pcg.Completion, leg.Completion}},
+				{"Startup", [2]time.Duration{a.Startup, b.Startup}},
+				{"Completion", [2]time.Duration{a.Completion, b.Completion}},
 			} {
 				name, pair := v.name, v.pair
 				if pair[0] <= 0 || pair[1] <= 0 {
 					t.Errorf("%s %s seed=%d: %s not populated", p.Service, batch, seed, name)
 				}
-				// Jitter draws differ between engines (±10% scheduling
+				// Jitter draws differ between seeds (±10% scheduling
 				// noise plus RTT jitter); shapes must stay comparable.
 				if !within(float64(pair[0]), float64(pair[1]), 0.35) {
 					t.Errorf("%s %s seed=%d: %s shape broke: %v vs %v",
 						p.Service, batch, seed, name, pair[0], pair[1])
 				}
 			}
-			if !within(pcg.Overhead, float64(pcg.TotalTraffic)/float64(batch.Total()), 1e-9) {
+			if !within(a.Overhead, float64(a.TotalTraffic)/float64(batch.Total()), 1e-9) {
 				t.Errorf("%s %s: overhead inconsistent with traffic", p.Service, batch)
 			}
 
-			if again := runRepEngine(p, batch, seed, false); again != pcg {
-				t.Errorf("%s %s seed=%d: PCG engine not deterministic", p.Service, batch, seed)
+			if again := runRepSeed(p, batch, seed); again != a {
+				t.Errorf("%s %s seed=%d: run not deterministic", p.Service, batch, seed)
 			}
-			if again := runRepEngine(p, batch, seed, true); again != leg {
-				t.Errorf("%s %s seed=%d: legacy engine not deterministic", p.Service, batch, seed)
+			if again := runRepSeed(p, batch, partner); again != b {
+				t.Errorf("%s %s seed=%d: run not deterministic", p.Service, batch, partner)
 			}
 		}
-	}
-}
-
-// TestLegacyEngineRoundTripsDescriptors pins the reference engine
-// through the descriptor pipeline: a legacy testbed's folder holds
-// legacy-flagged descriptors, and planning them lazily or eagerly
-// yields identical traffic — the equivalence the compressor's keyed
-// cache relies on (engine identity is part of the cache key).
-func TestLegacyEngineRoundTripsDescriptors(t *testing.T) {
-	batch := workload.Batch{Count: 4, Size: 120_000, Kind: workload.Text}
-	for _, legacy := range []bool{false, true} {
-		a := runRepEngine(client.Dropbox(), batch, 7, legacy)
-		b := runRepEngine(client.Dropbox(), batch, 7, legacy)
-		if a != b {
-			t.Fatalf("legacy=%v: descriptor round trip not deterministic:\n %+v\n %+v", legacy, a, b)
-		}
-	}
-	// The two engines must NOT produce identical metrics — if they
-	// did, the legacy reference would not be exercising a different
-	// byte stream and the equivalence harness above would be vacuous.
-	if runRepEngine(client.Dropbox(), batch, 7, false) == runRepEngine(client.Dropbox(), batch, 7, true) {
-		t.Fatal("engines produced identical metrics; reference engine is not independent")
 	}
 }

@@ -78,15 +78,6 @@ func NewStreamingTestbed(p client.Profile, seed int64, jitter float64) *Testbed 
 	return assembleTestbed(p, cloud.SpecFor(p.Service), campusHost(), sim.NewRNG(seed), jitter, true)
 }
 
-// NewLegacyStreamingTestbed builds a streaming testbed whose entire
-// randomness tree — file contents, jitter, DNS shuffles, loss draws —
-// runs on the legacy math/rand engine (sim.NewLegacyRNG). It is the
-// reference configuration for the PCG structural-equivalence tests,
-// the way tcpsim keeps its event loop behind Dialer.ForceEventLoop.
-func NewLegacyStreamingTestbed(p client.Profile, seed int64, jitter float64) *Testbed {
-	return assembleTestbed(p, cloud.SpecFor(p.Service), campusHost(), sim.NewLegacyRNG(seed), jitter, true)
-}
-
 // NewTestbedFor builds a buffered testbed for an arbitrary
 // profile/deployment pair — the extension hook for benchmarking
 // services beyond the five in the paper ("to extend the number of
@@ -109,9 +100,8 @@ func campusHost() *netem.Host {
 
 // assembleTestbed is the single assembly path behind every testbed
 // constructor; host describes the (not yet added) test computer, rng
-// is the top of the repetition's randomness tree (PCG by default,
-// legacy for the reference engine), and streaming selects the trace
-// mode.
+// is the top of the repetition's randomness tree, and streaming
+// selects the trace mode.
 func assembleTestbed(p client.Profile, spec cloud.Spec, host *netem.Host, rng *sim.RNG, jitter float64, streaming bool) *Testbed {
 	seed := rng.Seed()
 	clock := sim.NewClock()

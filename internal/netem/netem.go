@@ -60,8 +60,7 @@ type Network struct {
 	// window halving and pays retransmissions; lossy-path scenarios
 	// set a few percent here. The analytic engine samples the next
 	// loss position from the geometric run-length distribution this
-	// rate implies (one RNG draw per loss event); the per-round
-	// event loop (tcpsim.Dialer.ForceEventLoop) draws per burst.
+	// rate implies (one RNG draw per loss event).
 	LossRate float64
 }
 

@@ -10,10 +10,8 @@
 //   - Scheduler: a time-ordered event queue driven by the clock, used by
 //     background processes such as the clients' idle pollers.
 //   - RNG: a deterministic random source so that experiments are
-//     reproducible bit-for-bit given a seed. Two engines share the
-//     API: the default PCG engine (SplitMix64 seeding, O(1) Fork,
-//     word-copy Bytes/Fill) and the legacy math/rand engine kept
-//     behind NewLegacyRNG as the reference for equivalence tests.
+//     reproducible bit-for-bit given a seed: a PCG engine with
+//     SplitMix64 seeding, O(1) Fork and word-copy Bytes/Fill.
 package sim
 
 import (

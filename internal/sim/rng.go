@@ -14,34 +14,21 @@ import (
 // different randomness, but the whole campaign is still a pure function
 // of the top-level seed.
 //
-// Two engines exist behind the one API. The default engine (NewRNG) is
-// a PCG generator seeded through SplitMix64: Fork is O(1) — two
-// SplitMix64 rounds build the whole child state — and Bytes/Fill are a
-// tight word-copy loop. The legacy engine (NewLegacyRNG) wraps
-// math/rand's lagged-Fibonacci source exactly as every release before
-// the descriptor pipeline did; it survives as the reference engine for
-// structural-equivalence tests, the way tcpsim keeps its event loop
-// behind Dialer.ForceEventLoop. Children inherit their parent's
-// engine, so a campaign never silently mixes byte streams.
+// The engine is a PCG generator seeded through SplitMix64: Fork is
+// O(1) — two SplitMix64 rounds build the whole child state — and
+// Bytes/Fill are a tight word-copy loop. math/rand only wraps it, for
+// its derived draws (Intn, Float64, Perm, ...). Children inherit their
+// parent's antithetic mask (see NewAntitheticRNG).
 type RNG struct {
 	*rand.Rand
 	seed int64
-	pcg  *pcg // nil for the legacy math/rand engine
+	pcg  *pcg
 }
 
-// NewRNG returns a deterministic source for the given seed, using the
-// fast PCG engine.
+// NewRNG returns a deterministic source for the given seed.
 func NewRNG(seed int64) *RNG {
 	p := newPCG(seed)
 	return &RNG{Rand: rand.New(p), seed: seed, pcg: p}
-}
-
-// NewLegacyRNG returns a deterministic source for the given seed using
-// the pre-descriptor math/rand engine (one 607-word lagged-Fibonacci
-// initialisation per source). It exists as the reference engine for
-// equivalence tests and costs ~50x more per Fork than the PCG engine.
-func NewLegacyRNG(seed int64) *RNG {
-	return &RNG{Rand: rand.New(rand.NewSource(seed)), seed: seed}
 }
 
 // NewAntitheticRNG returns the mirror of NewRNG(seed): the same PCG
@@ -63,27 +50,18 @@ func NewAntitheticRNG(seed int64) *RNG {
 func (r *RNG) Seed() int64 { return r.seed }
 
 // Antithetic reports whether this source complements its output
-// stream (see NewAntitheticRNG). Legacy sources never do.
-func (r *RNG) Antithetic() bool { return r.pcg != nil && r.pcg.mask != 0 }
-
-// Legacy reports whether this source runs on the legacy math/rand
-// engine rather than the default PCG engine.
-func (r *RNG) Legacy() bool { return r.pcg == nil }
+// stream (see NewAntitheticRNG).
+func (r *RNG) Antithetic() bool { return r.pcg.mask != 0 }
 
 // Reseed resets the source in place to the exact state a fresh source
 // for seed would start in, without allocating — the hot-loop form of
 // NewRNG for callers that burn one short-lived stream per simulated
 // event (the fleet engine reseeds one RNG per user slot instead of
-// allocating per session). On the PCG engine the reseeded stream is
-// bit-identical to NewRNG(seed)'s; an antithetic source stays
-// antithetic, mirroring Fork. The legacy engine re-runs math/rand's
-// source initialisation, matching NewLegacyRNG(seed).
+// allocating per session). The reseeded stream is bit-identical to
+// NewRNG(seed)'s; an antithetic source stays antithetic, mirroring
+// Fork.
 func (r *RNG) Reseed(seed int64) {
 	r.seed = seed
-	if r.pcg == nil {
-		r.Rand.Seed(seed)
-		return
-	}
 	s0 := splitmix64(uint64(seed))
 	r.pcg.state = s0
 	r.pcg.inc = splitmix64(s0) | 1
@@ -101,14 +79,10 @@ func (r *RNG) ForkSeed(label int64) int64 {
 	return int64(z)
 }
 
-// Fork derives an independent child source on the same engine as the
-// parent. On the PCG engine this is O(1); the legacy engine pays the
-// full math/rand source initialisation.
+// Fork derives an independent child source in O(1), antithetic iff
+// the parent is.
 func (r *RNG) Fork(label int64) *RNG {
 	seed := r.ForkSeed(label)
-	if r.pcg == nil {
-		return NewLegacyRNG(seed)
-	}
 	if r.pcg.mask != 0 {
 		return NewAntitheticRNG(seed)
 	}
@@ -140,12 +114,12 @@ func (r *RNG) Jitter(base, spread int64) int64 {
 
 // uniformPaired draws uniformly from [0, n) such that the antithetic
 // stream yields exactly n-1-x when the plain stream yields x. On a
-// plain or legacy stream it is Int63n. On an antithetic stream it
-// replays math/rand's Int63n — same word consumption, including the
+// plain stream it is Int63n. On an antithetic stream it replays
+// math/rand's Int63n — same word consumption, including the
 // rejection loop — on the un-complemented words, then reflects the
 // accepted deviate, so the two streams stay step-aligned.
 func (r *RNG) uniformPaired(n int64) int64 {
-	if r.pcg == nil || r.pcg.mask == 0 {
+	if r.pcg.mask == 0 {
 		return r.Int63n(n)
 	}
 	if n&(n-1) == 0 {
@@ -161,8 +135,8 @@ func (r *RNG) uniformPaired(n int64) int64 {
 	return n - 1 - v%n
 }
 
-// Perm returns a pseudo-random permutation of [0, n). On plain and
-// legacy streams it is math/rand's Perm unchanged. On an antithetic
+// Perm returns a pseudo-random permutation of [0, n). On a plain
+// stream it is math/rand's Perm unchanged. On an antithetic
 // stream it returns the REVERSE of the plain twin's permutation,
 // consuming the same stream steps: complementing the raw words would
 // just produce an unrelated permutation (the complement does not
@@ -172,7 +146,7 @@ func (r *RNG) uniformPaired(n int64) int64 {
 // receives the complementary end of the pool, so rare-outcome draws
 // are negatively correlated across an antithetic pair.
 func (r *RNG) Perm(n int) []int {
-	if r.pcg == nil || r.pcg.mask == 0 {
+	if r.pcg.mask == 0 {
 		return r.Rand.Perm(n)
 	}
 	// Replay the plain twin: an unmasked view of the same PCG state,
@@ -193,15 +167,10 @@ func (r *RNG) Bytes(n int) []byte {
 	return b
 }
 
-// Fill fills dst with random bytes. On the PCG engine this is a plain
-// word-copy loop — eight bytes per generator step, no per-byte state —
-// which is what makes large file materialisation cheap enough to run
-// lazily at plan time.
+// Fill fills dst with random bytes: a plain word-copy loop — eight
+// bytes per generator step, no per-byte state — which is what makes
+// large file materialisation cheap enough to run lazily at plan time.
 func (r *RNG) Fill(dst []byte) {
-	if r.pcg == nil {
-		r.Read(dst)
-		return
-	}
 	p := r.pcg
 	i := 0
 	for ; i+8 <= len(dst); i += 8 {
@@ -230,7 +199,7 @@ type pcg struct {
 
 // newPCG builds a generator from a seed via two SplitMix64 rounds: one
 // for the initial state, one for the stream increment. This is the
-// whole cost of RNG.Fork on the PCG engine.
+// whole cost of RNG.Fork.
 func newPCG(seed int64) *pcg {
 	s0 := splitmix64(uint64(seed))
 	s1 := splitmix64(s0)

@@ -2,50 +2,27 @@ package sim
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 )
 
-// TestLegacyEngineMatchesMathRand pins NewLegacyRNG as a faithful
-// reference: it must reproduce math/rand's stream for the same seed,
-// exactly as every release before the PCG engine did.
-func TestLegacyEngineMatchesMathRand(t *testing.T) {
-	leg := NewLegacyRNG(42)
-	ref := rand.New(rand.NewSource(42))
-	for i := 0; i < 200; i++ {
-		if leg.Int63() != ref.Int63() {
-			t.Fatalf("legacy engine diverged from math/rand at draw %d", i)
-		}
-	}
-	leg2 := NewLegacyRNG(42)
-	ref2 := rand.New(rand.NewSource(42))
-	want := make([]byte, 1000)
-	ref2.Read(want)
-	if !bytes.Equal(leg2.Bytes(1000), want) {
-		t.Fatal("legacy Bytes diverged from math/rand Read")
-	}
-}
-
-// TestEnginesShareForkDerivation pins that both engines derive child
-// seeds identically: descriptor identity (kind, seed, size) is engine
-// portable, only the materialised stream differs.
+// TestEnginesShareForkDerivation pins that a child's seed is exactly
+// ForkSeed(label) on the plain and the antithetic stream alike:
+// descriptor identity (kind, seed, size) names a child stream without
+// instantiating it.
 func TestEnginesShareForkDerivation(t *testing.T) {
-	p := NewRNG(7)
-	l := NewLegacyRNG(7)
-	for label := int64(-3); label < 10; label++ {
-		if p.ForkSeed(label) != l.ForkSeed(label) {
-			t.Fatalf("fork seed derivation differs at label %d", label)
-		}
-		if p.Fork(label).Seed() != p.ForkSeed(label) {
-			t.Fatal("Fork seed disagrees with ForkSeed")
+	for _, r := range []*RNG{NewRNG(7), NewAntitheticRNG(7)} {
+		for label := int64(-3); label < 10; label++ {
+			if r.Fork(label).Seed() != r.ForkSeed(label) {
+				t.Fatal("Fork seed disagrees with ForkSeed")
+			}
 		}
 	}
 }
 
 // TestReseedMatchesFreshSource pins Reseed's contract: a reseeded
 // source continues with exactly the stream a fresh source for that
-// seed would produce, on every engine, whatever state the source was
-// in before.
+// seed would produce, plain or antithetic, whatever state the source
+// was in before.
 func TestReseedMatchesFreshSource(t *testing.T) {
 	check := func(name string, reseeded, fresh *RNG) {
 		t.Helper()
@@ -74,29 +51,18 @@ func TestReseedMatchesFreshSource(t *testing.T) {
 		t.Fatal("Reseed dropped the antithetic mask")
 	}
 	check("antithetic", anti, NewAntitheticRNG(99))
-
-	leg := NewLegacyRNG(3)
-	leg.Int63()
-	leg.Reseed(99)
-	check("legacy", leg, NewLegacyRNG(99))
 }
 
-// TestForkInheritsEngine pins that children stay on their parent's
-// engine — a campaign never silently mixes byte streams.
-func TestForkInheritsEngine(t *testing.T) {
-	if NewRNG(1).Fork(2).Legacy() {
-		t.Fatal("PCG fork fell back to legacy engine")
-	}
-	if !NewLegacyRNG(1).Fork(2).Legacy() {
-		t.Fatal("legacy fork upgraded to PCG engine")
-	}
-}
-
-// TestEnginesProduceDistinctStreams guards against the engines
-// accidentally collapsing into one another.
+// TestEnginesProduceDistinctStreams guards against the plain and
+// antithetic streams, or neighbouring seeds, accidentally collapsing
+// into one another.
 func TestEnginesProduceDistinctStreams(t *testing.T) {
-	if bytes.Equal(NewRNG(9).Bytes(64), NewLegacyRNG(9).Bytes(64)) {
-		t.Fatal("engines produced identical bytes")
+	plain := NewRNG(9).Bytes(64)
+	if bytes.Equal(plain, NewAntitheticRNG(9).Bytes(64)) {
+		t.Fatal("plain and antithetic engines produced identical bytes")
+	}
+	if bytes.Equal(plain, NewRNG(10).Bytes(64)) {
+		t.Fatal("neighbouring seeds produced identical bytes")
 	}
 }
 
@@ -161,42 +127,24 @@ func TestPCGJitterStaysUniform(t *testing.T) {
 	}
 }
 
-// BenchmarkFork measures the seeding cost the PCG engine removes: the
-// legacy engine initialises a 607-word lagged-Fibonacci state per
-// child, the PCG engine runs two SplitMix64 rounds.
+// BenchmarkFork measures the seeding cost of a child stream: two
+// SplitMix64 rounds.
 func BenchmarkFork(b *testing.B) {
-	b.Run("pcg", func(b *testing.B) {
-		r := NewRNG(1)
-		for i := 0; i < b.N; i++ {
-			r.Fork(int64(i))
-		}
-	})
-	b.Run("legacy", func(b *testing.B) {
-		r := NewLegacyRNG(1)
-		for i := 0; i < b.N; i++ {
-			r.Fork(int64(i))
-		}
-	})
+	r := NewRNG(1)
+	for i := 0; i < b.N; i++ {
+		r.Fork(int64(i))
+	}
 }
 
 // BenchmarkFill measures bulk byte generation (the RNG.Bytes file
-// materialisation path) on both engines.
+// materialisation path).
 func BenchmarkFill(b *testing.B) {
 	buf := make([]byte, 1<<20)
-	b.Run("pcg", func(b *testing.B) {
-		r := NewRNG(1)
-		b.SetBytes(int64(len(buf)))
-		for i := 0; i < b.N; i++ {
-			r.Fill(buf)
-		}
-	})
-	b.Run("legacy", func(b *testing.B) {
-		r := NewLegacyRNG(1)
-		b.SetBytes(int64(len(buf)))
-		for i := 0; i < b.N; i++ {
-			r.Fill(buf)
-		}
-	})
+	r := NewRNG(1)
+	b.SetBytes(int64(len(buf)))
+	for i := 0; i < b.N; i++ {
+		r.Fill(buf)
+	}
 }
 
 // TestAntitheticComplementsStream pins the antithetic construction:
@@ -247,7 +195,7 @@ func TestAntitheticForkPropagates(t *testing.T) {
 }
 
 // TestAntitheticDeterminism: same seed, same stream — the antithetic
-// engine obeys the same reproducibility contract as the others.
+// engine obeys the same reproducibility contract as the plain one.
 func TestAntitheticDeterminism(t *testing.T) {
 	a, b := NewAntitheticRNG(42), NewAntitheticRNG(42)
 	for i := 0; i < 100; i++ {

@@ -59,7 +59,9 @@ func enginePair(cfg engineConfig, seed int64, loss float64) (a, b *Conn, capA, c
 			Coord: cfg.coord, RateBps: cfg.rateBps, ProcDelay: cfg.proc})
 		cap := trace.NewCapture()
 		d := NewDialer(n, cap, client)
-		d.ForceEventLoop = force
+		if force {
+			useEventLoop(d)
+		}
 		return d.Dial(server, cfg.name, sim.Epoch, cfg.tls), cap
 	}
 	a, capA = build(false)
@@ -241,7 +243,7 @@ func TestLossyPathUsesAnalyticEngine(t *testing.T) {
 
 	_, capB, dB, serverB := testbed(zrhCoord(), 30e6, 0)
 	dB.Net.LossRate = 0.02
-	dB.ForceEventLoop = true
+	useEventLoop(dB)
 	cB := dB.Dial(serverB, "s", sim.Epoch, PlainTCP)
 	cB.Send(8 << 20)
 	if capB.SpanCount() != 0 {
@@ -250,34 +252,6 @@ func TestLossyPathUsesAnalyticEngine(t *testing.T) {
 	// Record-count comparisons between the two RNG-driven runs would
 	// compare different loss realizations; the deterministic record
 	// and draw reductions are pinned by TestAnalyticLossDrawReduction.
-}
-
-// TestKeepProbMatchesSeedLoop pins the memoised no-loss probability to
-// the seed multiply loop, float64 bit for bit, across representative
-// loss rates and burst sizes — including the 1e-9 early-exit regime.
-func TestKeepProbMatchesSeedLoop(t *testing.T) {
-	seedKeep := func(p float64, segs int) float64 {
-		keep := 1.0
-		for i := 0; i < segs && keep > 1e-9; i++ {
-			keep *= 1 - p
-		}
-		return keep
-	}
-	d := &Dialer{}
-	for _, p := range []float64{1e-6, 0.001, 0.02, 0.05, 0.08, 0.3, 0.9999} {
-		// Ascending and then repeated/descending queries, exercising
-		// both table extension and lookup.
-		segs := []int{0, 1, 2, 3, 7, 10, 64, 100, 1000, 5000, 50000, 17, 1, 0, 4096}
-		for _, s := range segs {
-			if got, want := d.keepProb(p, s), seedKeep(p, s); got != want {
-				t.Fatalf("keepProb(p=%v, segs=%d) = %v, want seed loop's %v", p, s, got, want)
-			}
-		}
-	}
-	// Switching rates must not reuse a stale table.
-	if got, want := d.keepProb(0.02, 10), seedKeep(0.02, 10); got != want {
-		t.Fatalf("after rate switch: keepProb = %v, want %v", got, want)
-	}
 }
 
 // TestClosedConnectionRefusesTraffic pins the Close/Abort guard: a

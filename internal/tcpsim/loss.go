@@ -5,29 +5,28 @@ import (
 	"sort"
 )
 
-// This file implements the loss process shared by the two transfer
-// engines.
+// This file implements the transport's loss process.
 //
 // The model is per-round Bernoulli: a congestion round of s segments
-// is lossy with probability 1 − (1−p)^s. The event loop realises it
-// literally — one uniform draw per round against keepProb. The
-// analytic engine realises the same process by inverse-transform
-// sampling the *position* of the next lossy segment: the number of
-// clean segments before the next loss is geometric, P(gap ≥ k) =
-// (1−p)^k, so one draw places the next loss and every round wholly
-// before that position is clean with the correct joint probability.
-// After a lossy round the process is memoryless, so the sampler simply
-// redraws from the round's end. One RNG draw per loss event replaces
-// one draw per round — the O(losses) engine cost this PR is about.
+// is lossy with probability 1 − (1−p)^s. The reference event loop (in
+// the package's tests) realises it literally — one uniform draw per
+// round. The analytic engine realises the same process by
+// inverse-transform sampling the *position* of the next lossy segment:
+// the number of clean segments before the next loss is geometric,
+// P(gap ≥ k) = (1−p)^k, so one draw places the next loss and every
+// round wholly before that position is clean with the correct joint
+// probability. After a lossy round the process is memoryless, so the
+// sampler simply redraws from the round's end. One RNG draw per loss
+// event replaces one draw per round.
 //
-// Both engines express rounds in the same coordinate system: lossSeg
-// counts the data segments offered to the loss process so far (per
-// dialer, across connections and transfers, exactly the order the
-// event loop would have drawn verdicts in). That shared seam is also
-// injectable: InjectLossPositions pins the process to an explicit
-// list of absolute segment positions, under which both engines are
-// deterministic and must produce bit-identical traces — the exact
-// half of the equivalence suite.
+// Rounds are expressed in one coordinate system: lossSeg counts the
+// data segments offered to the loss process so far (per dialer, across
+// connections and transfers, exactly the order a per-round loop would
+// draw verdicts in). That seam is also injectable: InjectLossPositions
+// pins the process to an explicit list of absolute segment positions,
+// under which the engine is deterministic and must match the
+// reference loop bit for bit — the exact half of the equivalence
+// suite.
 
 // lossGap returns the sampled number of clean segments before the
 // next lost one, given a uniform draw u in [0,1): the inverse
@@ -54,9 +53,9 @@ func lossGap(u, p float64) float64 {
 // data-segment sequence this dialer offers to the loss process) of
 // every lost segment. A congestion round is lossy iff it covers a
 // scripted position; the network RNG is never consulted. Positions
-// already behind the process are dropped. Both engines honour the
-// script identically — it is the seam the exact equivalence tests
-// drive.
+// already behind the process are dropped. The reference event loop
+// honours the script identically — it is the seam the exact
+// equivalence tests drive.
 func (d *Dialer) InjectLossPositions(positions []int64) {
 	d.lossScript = append([]int64(nil), positions...)
 	sort.Slice(d.lossScript, func(i, j int) bool { return d.lossScript[i] < d.lossScript[j] })
@@ -69,14 +68,14 @@ func (d *Dialer) InjectLossPositions(positions []int64) {
 }
 
 // LossDraws reports how many RNG draws the dialer's loss process has
-// consumed: one per round under the event loop, one per loss event
-// under the analytic engine. The benchsnap transport-lossy micro and
-// the draw-reduction tests read it.
+// consumed: one per loss event under the analytic engine (one per
+// round under the reference event loop). The draw-reduction tests
+// read it.
 func (d *Dialer) LossDraws() int64 { return d.lossDraws }
 
 // lossActive reports whether transfer rounds must be offered to the
 // loss process at all. When false the analytic engine skips loss
-// accounting entirely and is the PR 4 loss-free fast path, untouched.
+// accounting entirely: the loss-free fast path.
 func (d *Dialer) lossActive() bool { return d.lossScripted || d.Net.LossRate > 0 }
 
 // nextLossPos returns the absolute segment position of the next loss,
@@ -122,9 +121,8 @@ func (d *Dialer) lossRecovered() {
 }
 
 // roundLossy offers one congestion round of segs data segments to the
-// loss process and reports the verdict — the analytic engine's
-// equivalent of the event loop's per-round lossEvent, driven by the
-// sampled position instead of a fresh draw.
+// loss process and reports the verdict — driven by the sampled
+// position instead of a fresh per-round draw.
 func (d *Dialer) roundLossy(segs int64) bool {
 	next := d.nextLossPos()
 	d.lossSeg += segs

@@ -116,7 +116,9 @@ func lossyRunStats(cfg engineConfig, seed int64, loss float64, force bool) (int6
 		Coord: cfg.coord, RateBps: cfg.rateBps, ProcDelay: cfg.proc})
 	cap := trace.NewCapture()
 	d := NewDialer(n, cap, client)
-	d.ForceEventLoop = force
+	if force {
+		useEventLoop(d)
+	}
 	c := d.Dial(server, cfg.name, sim.Epoch, cfg.tls)
 	start := c.FreeAt()
 	last, _ := c.Send(1 << 20)
@@ -390,8 +392,8 @@ func TestFinalBurstLossEquivalence(t *testing.T) {
 	}
 }
 
-// TestAnalyticLossDrawReduction pins the perf contract the benchsnap
-// transport-lossy micro reports: on a paper-grade mobile-uplink path
+// TestAnalyticLossDrawReduction pins the analytic engine's perf
+// contract: on a paper-grade mobile-uplink path
 // (2 Mb/s, WhatIfMobileUplink's rate) a 16 MB transfer at 2% loss
 // consumes >=10x fewer RNG draws and emits far fewer records under
 // the analytic engine than under the event loop.

@@ -41,13 +41,11 @@
 // halving — exactly as the event loop does at that position. A lossy
 // transfer therefore costs O(losses) instead of O(rounds).
 //
-// Dialer.ForceEventLoop routes transfers through the per-round event
-// loop instead — the reference engine. On clean paths (and under
-// Dialer.InjectLossPositions, which pins the loss process to explicit
-// segment positions) the two engines are record-for-record identical;
-// on lossy paths their RNG draw sequences necessarily differ, so they
-// agree distributionally — both equivalences are pinned by the tests
-// in this package.
+// A per-round event loop in the package's tests is the reference
+// engine: on clean paths (and under Dialer.InjectLossPositions, which
+// pins the loss process to explicit segment positions) the two are
+// record-for-record identical; on lossy paths their RNG draw sequences
+// necessarily differ, so they agree distributionally.
 //
 // Connections keep their own virtual timeline; all emitted packets are
 // timestamped on that timeline and merged in time order by the capture.
@@ -110,21 +108,14 @@ type Dialer struct {
 	Sink   trace.Sink
 	Client *netem.Host
 
-	// ForceEventLoop routes loss-free transfers through the per-round
-	// event loop instead of the closed-form engine. The two are
-	// record-for-record identical (pinned by the equivalence tests);
-	// the knob exists so tests and the benchsnap transport micro can
-	// run the reference engine on demand.
-	ForceEventLoop bool
-
 	nextPort int
 
-	// lossKeepP / lossKeep memoise lossEvent's no-loss probability
-	// prefix products for the current loss rate; see keepProb.
-	lossKeepP float64
-	lossKeep  []float64
+	// reference, when set, replaces the closed-form engine for every
+	// transfer. Nil outside the package's equivalence tests, which
+	// install the per-round reference event loop here.
+	reference func(c *Conn, dir trace.Direction, wireApp int64) time.Time
 
-	// Loss-process state shared by both engines (see loss.go).
+	// Loss-process state (see loss.go).
 	// lossSeg is the coordinate: cumulative data segments offered to
 	// the loss process. lossNext is the sampled absolute position of
 	// the next loss (valid while lossNextOK and the rate still equals
@@ -353,10 +344,6 @@ func (c *Conn) serTime(n int64) time.Duration {
 // the instant the last byte is put on the wire by the sender; for
 // upstream that is client time, for downstream server time (callers
 // add rtt/2 for delivery).
-//
-// The closed-form engine is the default on clean and lossy paths
-// alike; ForceEventLoop routes the transfer through the per-round
-// reference engine instead.
 func (c *Conn) transfer(dir trace.Direction, n int64) time.Time {
 	if n < 0 {
 		panic(fmt.Sprintf("tcpsim: negative transfer %d", n))
@@ -364,8 +351,8 @@ func (c *Conn) transfer(dir trace.Direction, n int64) time.Time {
 	if n == 0 {
 		return c.now
 	}
-	if c.d.ForceEventLoop {
-		return c.transferEventLoop(dir, c.wireBytes(n))
+	if c.d.reference != nil {
+		return c.d.reference(c, dir, c.wireBytes(n))
 	}
 	return c.transferAnalytic(dir, c.wireBytes(n))
 }
@@ -524,142 +511,6 @@ func (c *Conn) transferAnalytic(dir trace.Direction, wireApp int64) time.Time {
 		c.downCwnd = cwnd
 	}
 	return t
-}
-
-// transferEventLoop simulates the transfer one congestion-window round
-// at a time — the reference engine behind Dialer.ForceEventLoop. On
-// lossy paths it draws one RNG verdict per round (the literal
-// Bernoulli process the analytic engine samples in closed form), so
-// the two engines agree distributionally but not draw for draw; under
-// injected loss positions both are deterministic and bit-identical.
-func (c *Conn) transferEventLoop(dir trace.Direction, wireApp int64) time.Time {
-	cwnd := c.upCwnd
-	if dir == trace.Downstream {
-		cwnd = c.downCwnd
-	}
-	bdp := c.bdpBytes()
-
-	t := c.now
-	remaining := wireApp
-	for remaining > 0 {
-		if bdp > 0 && cwnd >= bdp {
-			// Rate-limited phase: emit records in bdp-sized
-			// slices so the trace has realistic granularity.
-			slice := bdp
-			if slice > remaining {
-				slice = remaining
-			}
-			ser := c.serTime(slice)
-			c.emitData(t, dir, slice)
-			t = t.Add(ser)
-			remaining -= slice
-			if c.lossEvent(slice) {
-				// Fast retransmit: one extra RTT, window
-				// halves, the lost segment travels again.
-				t = t.Add(c.rtt)
-				c.emitRetransmit(t, dir)
-				cwnd /= 2
-				if cwnd < 2*MSS {
-					cwnd = 2 * MSS
-				}
-			}
-			continue
-		}
-		// Slow-start phase: one cwnd-sized burst per RTT.
-		burst := cwnd
-		if burst > remaining {
-			burst = remaining
-		}
-		c.emitData(t, dir, burst)
-		remaining -= burst
-		if remaining > 0 {
-			// Wait for the ACK clock before the next round.
-			round := c.rtt
-			if c.rateBps > 0 {
-				if ser := c.serTime(burst); ser > round {
-					round = ser
-				}
-			}
-			t = t.Add(round)
-		} else {
-			// Last burst: the final byte leaves after its own
-			// serialization time.
-			if c.rateBps > 0 {
-				t = t.Add(c.serTime(burst))
-			}
-		}
-		if c.lossEvent(burst) {
-			t = t.Add(c.rtt)
-			c.emitRetransmit(t, dir)
-			cwnd /= 2
-			if cwnd < 2*MSS {
-				cwnd = 2 * MSS
-			}
-		} else {
-			cwnd *= 2
-		}
-		if bdp > 0 && cwnd > bdp {
-			cwnd = bdp
-		}
-	}
-
-	if dir == trace.Upstream {
-		c.upCwnd = cwnd
-	} else {
-		c.downCwnd = cwnd
-	}
-	return t
-}
-
-// lossEvent reports whether a burst of n bytes suffered at least one
-// segment loss — the event loop's per-round verdict. Under an
-// injected script the round is lossy iff it covers a scripted
-// position; otherwise the verdict compares one RNG draw against
-// P(no loss) = (1−p)^segs, memoised by keepProb. Either way the round
-// advances the loss coordinate both engines share (see loss.go).
-func (c *Conn) lossEvent(n int64) bool {
-	d := c.d
-	if d.lossScripted {
-		d.lossSeg += int64(segments(n))
-		hit := false
-		for d.lossCur < len(d.lossScript) && d.lossScript[d.lossCur] < d.lossSeg {
-			hit = true
-			d.lossCur++
-		}
-		return hit
-	}
-	p := d.Net.LossRate
-	if p <= 0 {
-		return false
-	}
-	d.lossSeg += int64(segments(n))
-	d.lossDraws++
-	return d.Net.RNG().Float64() >= d.keepProb(p, segments(n))
-}
-
-// keepProb returns the no-loss probability (1−p)^segs exactly as the
-// seed engine computed it: a sequential float64 prefix product with
-// the documented early exit — once the running value drops to 1e-9 a
-// loss is a near-certainty and the product is frozen there. The
-// prefix products are memoised per loss rate, turning the seed's
-// O(segs) multiply loop per burst into an O(1) table lookup that is
-// bit-identical for every (p, segs) because the cached values come
-// from the same sequential multiplication.
-func (d *Dialer) keepProb(p float64, segs int) float64 {
-	if p != d.lossKeepP {
-		d.lossKeepP = p
-		d.lossKeep = append(d.lossKeep[:0], 1.0)
-	}
-	// Extend the prefix table: lossKeep[i] is the product after i
-	// factors, frozen at the first value <= 1e-9 (the seed loop's
-	// early exit checked before each multiply).
-	for len(d.lossKeep) <= segs && d.lossKeep[len(d.lossKeep)-1] > 1e-9 {
-		d.lossKeep = append(d.lossKeep, d.lossKeep[len(d.lossKeep)-1]*(1-p))
-	}
-	if segs < len(d.lossKeep) {
-		return d.lossKeep[segs]
-	}
-	return d.lossKeep[len(d.lossKeep)-1]
 }
 
 // emitRetransmit records one retransmitted segment: wire bytes with

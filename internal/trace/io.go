@@ -192,12 +192,19 @@ func validateSpan(p Packet) error {
 		return fmt.Errorf("invalid span parameters (slices=%d slice_bytes=%d payload=%d gap=%d)",
 			p.Slices, p.SliceBytes, p.Payload, p.SliceGap)
 	}
-	// The full slices' product must not wrap: Span's totals would
-	// wrap the same way and the consistency check below would pass.
-	if p.SliceBytes <= 0 || p.SliceGap < 0 || p.SliceBytes > math.MaxInt64/int64(p.Slices-1) {
+	// Neither the full slices' byte product nor their time extent may
+	// wrap: Span's totals would wrap the same way and the consistency
+	// check below would pass, and a wrapped extent ends the span
+	// before it starts.
+	full := int64(p.Slices - 1)
+	if p.SliceBytes <= 0 || p.SliceGap < 0 || p.SliceBytes > math.MaxInt64/full ||
+		int64(p.SliceGap) > math.MaxInt64/full {
 		return invalid()
 	}
-	last := p.Payload - int64(p.Slices-1)*p.SliceBytes
+	if p.End().After(FarFuture) {
+		return fmt.Errorf("span ends after %s", FarFuture.Format(time.RFC3339))
+	}
+	last := p.Payload - full*p.SliceBytes
 	if last <= 0 || last > p.SliceBytes {
 		return invalid()
 	}

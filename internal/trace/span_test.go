@@ -361,6 +361,20 @@ func TestReadCSVRejectsHostileSpans(t *testing.T) {
 	if _, err := ReadCSV(csv(wrap)); err == nil {
 		t.Error("span with a wrapping slice product accepted")
 	}
+	// Three 1000-byte slices 2^62 ns apart: the extent (slices-1)*gap
+	// wraps to -2^63, so End() would land in 1721, before the span's
+	// own 2013 start.
+	wrapGap := "#cloudbench-trace-v2\n" +
+		"f,0,10.0.0.1,4000,5.5.5.5,443,0,s.example,1382486400000000000\n" +
+		"p,1382486400000000000,0,0,A,3000,3198,3,198,3,1000,4611686018427387904\n"
+	if _, err := ReadCSV(strings.NewReader(wrapGap)); err == nil {
+		t.Error("span with a wrapping time extent accepted")
+	}
+	// Gap 2^61 ns: no wrap, but the span ends in 2159, past FarFuture.
+	farGap := strings.Replace(wrapGap, "4611686018427387904", "2305843009213693952", 1)
+	if _, err := ReadCSV(strings.NewReader(farGap)); err == nil {
+		t.Error("span ending after FarFuture accepted")
+	}
 	// Spans each within the bound whose sum is not.
 	half := Span(t0, 0, Upstream, Flags{ACK: true}, maxExpandedPackets/2+1, 1, 1, time.Millisecond)
 	if _, err := ReadCSV(csv(half)); err != nil {

@@ -7,8 +7,8 @@ import (
 )
 
 // Descriptor is the complete recipe for one generated file's content:
-// materialising (Kind, Seed, Size) on the given engine always yields
-// the same bytes, across forks, worker counts and processes. Files
+// materialising (Kind, Seed, Size) always yields the same bytes,
+// across forks, worker counts and processes. Files
 // created from descriptors stay lazy — the benchmark plans uploads,
 // keys compression size caches and sizes transfers off the descriptor
 // alone, and only materialises when a consumer genuinely needs bytes
@@ -17,11 +17,6 @@ type Descriptor struct {
 	Kind Kind
 	Seed int64
 	Size int64
-
-	// legacy materialises on the legacy math/rand engine — set when
-	// the descriptor was derived from a legacy RNG, so the reference
-	// engine round-trips through descriptors too.
-	legacy bool
 }
 
 // Describe captures the descriptor for Generate(rng, kind, size). The
@@ -32,27 +27,14 @@ func Describe(rng *sim.RNG, kind Kind, size int64) Descriptor {
 	if size < 0 {
 		panic(fmt.Sprintf("workload: negative size %d", size))
 	}
-	return Descriptor{Kind: kind, Seed: rng.Seed(), Size: size, legacy: rng.Legacy()}
-}
-
-// Legacy reports whether the descriptor materialises on the legacy
-// math/rand engine.
-func (d Descriptor) Legacy() bool { return d.legacy }
-
-// rng returns a fresh generator positioned at the start of the
-// descriptor's stream.
-func (d Descriptor) rng() *sim.RNG {
-	if d.legacy {
-		return sim.NewLegacyRNG(d.Seed)
-	}
-	return sim.NewRNG(d.Seed)
+	return Descriptor{Kind: kind, Seed: rng.Seed(), Size: size}
 }
 
 // AppendTo appends the descriptor's exact Size bytes to dst and
 // returns the extended slice. Pass a pooled buffer (GetBuffer) to
 // materialise without allocating.
 func (d Descriptor) AppendTo(dst []byte) []byte {
-	return AppendContent(dst, d.rng(), d.Kind, d.Size)
+	return AppendContent(dst, sim.NewRNG(d.Seed), d.Kind, d.Size)
 }
 
 // Bytes materialises the descriptor into a fresh buffer.

@@ -2,10 +2,10 @@
 # trendcheck.sh — fail when the engine's simulated metrics drift from
 # the newest committed BENCH_<sha>.json snapshot.
 #
-# Two gates run, both on simulated metrics only (wall-clock micro
-# numbers are informational and never compared; simulated metrics are
+# Two gates run, both on simulated metrics only (simulated metrics are
 # deterministic given a seed, so ANY delta means an engine change
-# altered simulated behaviour):
+# altered simulated behaviour; the "micro" wall-clock sections older
+# snapshots carry are ignored by comparebench):
 #
 #  1. Baseline continuity: the newest committed snapshot is compared
 #     against the previously committed one. Drift here means a new
