@@ -55,13 +55,14 @@
 //   - Capture.Window returns a zero-copy, binary-searched view of a
 //     time slice (half-open [from, to)), sharing the backing store;
 //     only windows that actually cut through a span copy and clip.
-//   - Capture.Analyze computes every scalar metric of Sect. 5 — byte
+//   - trace.Analysis holds every scalar metric of Sect. 5 — byte
 //     accounting in both directions, payload bracket, SYN timeline,
-//     connection count — in one scan per flow selection. The
-//     per-metric methods (TotalWireBytes, FirstPayloadTime, ...) are
-//     thin wrappers over it. StreamWindow.Analyze answers the same
-//     question from the streamed accumulators, bit-identically
-//     (pinned by the randomized equivalence test in internal/trace).
+//     connection count — and callers read the field they need off
+//     it. One per-flow fold in internal/trace produces it for both
+//     sinks: Capture.Analyze runs the fold over the buffered records,
+//     a StreamWindow runs it at record time over each record clipped
+//     to its window, so the two agree by construction (the randomized
+//     equivalence test in internal/trace still pins it).
 //   - core.MeasureWindow reads all Sect. 5 metrics off two Analyze
 //     passes (all flows, storage flows) of one window, in either
 //     trace mode. The campaign cells (RunSync and every repeated
@@ -184,7 +185,7 @@
 // protocol. The claim pass generates the day once: each session claims
 // its chunks with its (virtual instant, user) pair — batched per
 // (session, shard) group so a batch pays one lock acquisition
-// (dedup.Store.ClaimBatch) — and the store keeps the earliest claim
+// (dedup.Store.ClaimBatchRef) — and the store keeps the earliest claim
 // per chunk, a pure function of offered load whatever the execution
 // interleaving. While claiming, each stripe records its session stream
 // (users, instants, chunk hash/size runs, and each chunk's claimed

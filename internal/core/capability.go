@@ -183,7 +183,7 @@ func DetectBundling(p client.Profile, seed int64) BundlingResult {
 
 	win := tb.Cap.Window(t0, trace.FarFuture)
 	storage := tb.StorageFilter(t0)
-	conns := win.ConnectionCount(trace.AllFlows)
+	conns := win.Analyze(trace.AllFlows).Connections
 	rtt := estimateRTT(tb.Cap, storage)
 	bursts := win.Bursts(storage, rtt+2*rtt/5)
 
@@ -212,7 +212,7 @@ func DetectDedup(p client.Profile, seed int64) DedupResult {
 		res := tb.Client.SyncChanges(tb.Folder, t0.Add(-time.Millisecond))
 		tb.Clock.AdvanceTo(res.Done.Add(10 * time.Second))
 		win := tb.Cap.Window(t0, trace.FarFuture)
-		return win.WireBytesDir(tb.StorageFilter(t0), trace.Upstream)
+		return win.Analyze(tb.StorageFilter(t0)).WireUp
 	}
 
 	// Step i: original file.
@@ -267,7 +267,7 @@ func DetectDelta(p client.Profile, seed int64) bool {
 	tb.Clock.AdvanceTo(res.Done)
 
 	win := tb.Cap.Window(t1, trace.FarFuture)
-	up := win.WireBytesDir(tb.StorageFilter(t1), trace.Upstream)
+	up := win.Analyze(tb.StorageFilter(t1)).WireUp
 	// Delta encoding: the upload tracks the added bytes, not the
 	// file size.
 	return up < (base+added)/3
@@ -285,7 +285,7 @@ func DetectCompression(p client.Profile, seed int64) string {
 		res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
 		tb.Clock.AdvanceTo(res.Done)
 		win := tb.Cap.Window(t0, trace.FarFuture)
-		return win.WireBytesDir(tb.StorageFilter(t0), trace.Upstream)
+		return win.Analyze(tb.StorageFilter(t0)).WireUp
 	}
 	text := upload(workload.Text, seed)
 	random := upload(workload.Binary, seed+1)

@@ -41,7 +41,7 @@ import (
 //
 //   - Claim pass: every session claims its chunks with the session's
 //     (virtual instant, user) pair, one batch per (session, shard)
-//     group (dedup.Store.ClaimBatch). The store keeps the earliest
+//     group (dedup.Store.ClaimBatchRef). The store keeps the earliest
 //     claim per chunk — a pure function of the offered load, whatever
 //     the execution interleaving. While claiming, each stripe records
 //     its session stream into a flat append-only log (fleetlog.go).
@@ -162,9 +162,8 @@ type FleetConfig struct {
 
 // classTables caches the parts of one class's file-mix derivation that
 // are pure functions of the class configuration. Every cached value is
-// computed by exactly the expression genFleetSession's definitional
-// fallback would evaluate per file, so the table changes nothing but
-// the work.
+// exactly what a per-file derivation would compute, so the table
+// changes nothing but the work. withDefaults builds one per class.
 type classTables struct {
 	catalog []int64 // rank → catalog file size; nil for oversized catalogs
 	zipfLog float64 // math.Log(CatalogSize+1), the zipfRank envelope constant
@@ -235,7 +234,7 @@ func (cfg FleetConfig) withDefaults() FleetConfig {
 			// would perform per reference, hoisted to once per rank.
 			seed := catalogSeed(c, r)
 			rng.Reseed(seed)
-			size := logUniformBytes(rng, cls.MinFileBytes, cls.MaxFileBytes)
+			size := logUniformBytes(rng, cls.MinFileBytes, cls.MaxFileBytes, t.sizeLog)
 			sizes[r] = size
 			for off := int64(0); off < size; off += cls.ChunkBytes {
 				ln := size - off
@@ -455,7 +454,7 @@ func (b *chunkBatch) forEachShardGroup(fn func(hs []dedup.Hash, sizes, idxs []in
 
 // claimSink is the first pass: record the session stream into the
 // stripe log and claim every chunk at the session's virtual instant,
-// one ClaimBatch per (session, shard) group. The store resolves
+// one ClaimBatchRef per (session, shard) group. The store resolves
 // concurrent claims to the (instant, user) minimum, so this pass is
 // order-free and batching cannot change the outcome.
 type claimSink struct {
@@ -693,12 +692,8 @@ func walkFleetStripe(cfg FleetConfig, starts []int, stripe int, sink fleetSink) 
 		u := int64(stripe + int(slot)*cfg.Stripes)
 		cls := &cfg.Classes[st.class]
 
-		var tab *classTables
-		if int(st.class) < len(cfg.tables) {
-			tab = &cfg.tables[st.class]
-		}
 		sink.StartSession(u, st.next)
-		files := genFleetSession(cls, int(st.class), tab, st.rng, sink)
+		files := genFleetSession(cls, int(st.class), &cfg.tables[st.class], st.rng, sink)
 		sink.EndSession(files)
 
 		// Next session: a fresh per-(user, session) stream whose
@@ -720,8 +715,7 @@ func walkFleetStripe(cfg FleetConfig, starts []int, stripe int, sink fleetSink) 
 // genFleetSession emits one session's chunks: a uniform file count,
 // each file either private (fresh seed from the session stream) or a
 // catalog file picked with Zipf-like popularity. Returns the file
-// count. tab is the class's precomputed generation table (nil falls
-// back to the definitional derivations — same values, more work). The
+// count. tab is the class's generation table from withDefaults. The
 // claim pass is the only generation pass — the resolve pass replays
 // the recorded session log — but a log-budget fallback regenerates
 // through exactly this code with identical RNG state, which is what
@@ -734,31 +728,22 @@ func genFleetSession(cls *FleetClass, classIdx int, tab *classTables, rng *sim.R
 	for i := 0; i < files; i++ {
 		var seed, size int64
 		if rng.Float64() < cls.SharedFraction {
-			var rank int
-			if tab != nil {
-				rank = zipfRankLog(rng.Float64(), cls.CatalogSize, tab.zipfLog)
-			} else {
-				rank = zipfRank(rng.Float64(), cls.CatalogSize)
-			}
+			rank := zipfRank(rng.Float64(), cls.CatalogSize, tab.zipfLog)
 			// A catalog file is the same content for every user: its
 			// size, chunk addresses and chunk sizes are pure functions
 			// of its rank, so the table emits the recorded chunk
 			// stream directly — no hashing per reference.
-			if tab != nil && rank < len(tab.catalog) {
+			if rank < len(tab.catalog) {
 				for j := tab.chunkOff[rank]; j < tab.chunkOff[rank+1]; j++ {
 					sink.Chunk(tab.chunkHashes[j], tab.chunkSizes[j])
 				}
 				continue
 			}
 			seed = catalogSeed(classIdx, rank)
-			size = logUniformBytes(sim.NewRNG(seed), cls.MinFileBytes, cls.MaxFileBytes)
+			size = logUniformBytes(sim.NewRNG(seed), cls.MinFileBytes, cls.MaxFileBytes, tab.sizeLog)
 		} else {
 			seed = rng.Int63()
-			if tab != nil {
-				size = logUniformBytesLog(rng, cls.MinFileBytes, cls.MaxFileBytes, tab.sizeLog)
-			} else {
-				size = logUniformBytes(rng, cls.MinFileBytes, cls.MaxFileBytes)
-			}
+			size = logUniformBytes(rng, cls.MinFileBytes, cls.MaxFileBytes, tab.sizeLog)
 		}
 		for off := int64(0); off < size; off += cls.ChunkBytes {
 			ln := size - off
@@ -815,16 +800,8 @@ func mix64(z uint64) uint64 {
 // zipfRank maps a uniform draw to a catalog rank with Zipf-like
 // (s≈1) popularity via the inverse CDF of the continuous envelope:
 // rank 0 is the most popular file, mass falling off as 1/(rank+1).
-func zipfRank(u float64, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return zipfRankLog(u, n, math.Log(float64(n)+1))
-}
-
-// zipfRankLog is zipfRank with the envelope constant Log(n+1) hoisted
-// by the caller (classTables.zipfLog); bit-identical to zipfRank.
-func zipfRankLog(u float64, n int, logN float64) int {
+// logN is the envelope constant Log(n+1) (classTables.zipfLog).
+func zipfRank(u float64, n int, logN float64) int {
 	if n <= 1 {
 		return 0
 	}
@@ -839,17 +816,8 @@ func zipfRankLog(u float64, n int, logN float64) int {
 }
 
 // logUniformBytes draws a file size log-uniformly from [lo, hi].
-func logUniformBytes(rng *sim.RNG, lo, hi int64) int64 {
-	if hi <= lo {
-		return lo
-	}
-	return logUniformBytesLog(rng, lo, hi, math.Log(float64(hi)/float64(lo)))
-}
-
-// logUniformBytesLog is logUniformBytes with the span constant
-// Log(hi/lo) hoisted by the caller (classTables.sizeLog);
-// bit-identical to logUniformBytes.
-func logUniformBytesLog(rng *sim.RNG, lo, hi int64, logRatio float64) int64 {
+// logRatio is the span constant Log(hi/lo) (classTables.sizeLog).
+func logUniformBytes(rng *sim.RNG, lo, hi int64, logRatio float64) int64 {
 	if hi <= lo {
 		return lo
 	}

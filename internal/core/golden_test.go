@@ -100,7 +100,7 @@ func TestMeasureWindowBoundary(t *testing.T) {
 	p := client.Dropbox()
 	tb := NewTestbed(p, 5, 0)
 	start := tb.Settle()
-	preTraffic := tb.Cap.Window(tb.Cap.Packets()[0].Time, start).TotalWireBytes(nil)
+	preTraffic := tb.Cap.Window(tb.Cap.Packets()[0].Time, start).Analyze(nil).TotalWire
 	if preTraffic == 0 {
 		t.Fatal("login produced no traffic")
 	}

@@ -73,5 +73,5 @@ func RunPropagation(p client.Profile, batch workload.Batch, seed int64) Propagat
 // for tests.
 func DownloadBytes(tb *Testbed, from time.Time) int64 {
 	win := tb.Cap.Window(from, trace.FarFuture)
-	return win.PayloadBytesDir(trace.AllFlows, trace.Downstream)
+	return win.Analyze(trace.AllFlows).PayloadDown
 }

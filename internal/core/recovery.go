@@ -48,7 +48,7 @@ func RunRecovery(chunkSize int64, fileSize int64, every time.Duration, seed int6
 	tb.Clock.AdvanceTo(res.Done)
 
 	win := tb.Cap.Window(t0, trace.FarFuture)
-	up := win.PayloadBytesDir(tb.StorageFilter(t0), trace.Upstream)
+	up := win.Analyze(tb.StorageFilter(t0)).PayloadUp
 
 	out := RecoveryStudy{
 		ChunkLabel: chunkLabel(chunkSize),

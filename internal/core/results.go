@@ -53,7 +53,8 @@ func (c Campaign) WriteJSON(w io.Writer) error {
 	return enc.Encode(c)
 }
 
-// ReadCampaign parses a serialized campaign.
+// ReadCampaign parses a serialized campaign. A Fig. 6 entry must pair
+// every summary with its workload.
 func ReadCampaign(r io.Reader) (Campaign, error) {
 	var c Campaign
 	if err := json.NewDecoder(r).Decode(&c); err != nil {
@@ -61,6 +62,12 @@ func ReadCampaign(r io.Reader) (Campaign, error) {
 	}
 	if c.Tool == "" {
 		return Campaign{}, fmt.Errorf("core: not a campaign file (no tool field)")
+	}
+	for i, r := range c.Fig6 {
+		if len(r.Workloads) != len(r.Summaries) {
+			return Campaign{}, fmt.Errorf("core: fig6[%d] (%q) has %d workloads but %d summaries",
+				i, r.Service, len(r.Workloads), len(r.Summaries))
+		}
 	}
 	return c, nil
 }

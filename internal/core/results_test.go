@@ -53,6 +53,16 @@ func TestReadCampaignRejectsGarbage(t *testing.T) {
 	}
 }
 
+func TestReadCampaignRejectsUnpairedSummaries(t *testing.T) {
+	// A summary without its workload used to index past Workloads in
+	// campaignIndex and crash comparebench.
+	const in = `{"tool":"x","fig6":[{"service":"Dropbox","summaries":[{}]}]}`
+	_, err := ReadCampaign(strings.NewReader(in))
+	if err == nil || !strings.Contains(err.Error(), "0 workloads but 1 summaries") {
+		t.Fatalf("ReadCampaign(%s) = %v, want the unpaired-summaries error", in, err)
+	}
+}
+
 func TestCompareIdenticalCampaignsIsQuiet(t *testing.T) {
 	c := tinyCampaign(Twente, 82)
 	if deltas := Compare(c, c, 1.3); len(deltas) != 0 {

@@ -2,6 +2,7 @@ package dedup
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -18,7 +19,7 @@ const DefaultShards = 64
 // shard count — NewStoreSharded(1) is the single-lock configuration).
 //
 // All methods are safe for concurrent use. Counters (StoredBytes,
-// UniqueChunks, Hits, Puts) are per-shard atomics maintained under the
+// UniqueChunks, Hits) are per-shard atomics maintained under the
 // shard lock but read lock-free: a read that overlaps writers returns
 // some valid interleaving, and is exact once writers are quiescent.
 //
@@ -41,7 +42,6 @@ type shard struct {
 	chunks map[Hash]int32 // content address → slab index of its entry
 	slab   entrySlab
 	bytes  atomic.Int64
-	puts   atomic.Int64
 	hits   atomic.Int64
 	unique atomic.Int64
 	_      [32]byte // pad the state to full cache lines
@@ -62,11 +62,18 @@ const (
 	entrySlabBits  = 10
 	entrySlabBlock = 1 << entrySlabBits
 	entrySlabMask  = entrySlabBlock - 1
+	// entrySlabMaxBlocks is the block count at which the int32 entry
+	// index (block<<entrySlabBits | pos) would wrap negative.
+	entrySlabMaxBlocks = 1 << (31 - entrySlabBits)
 )
 
 func (s *entrySlab) alloc() (int32, *entry) {
 	last := len(s.blocks) - 1
 	if last < 0 || len(s.blocks[last]) == entrySlabBlock {
+		if len(s.blocks) == entrySlabMaxBlocks {
+			panic(fmt.Sprintf("dedup: shard holds %d chunks, the int32 slab index limit (%d blocks of %d); use more shards",
+				entrySlabMaxBlocks*entrySlabBlock, entrySlabMaxBlocks, entrySlabBlock))
+		}
 		s.blocks = append(s.blocks, make([]entry, 0, entrySlabBlock))
 		last++
 	}
@@ -152,7 +159,7 @@ func (s *Store) Shards() int { return len(s.shards) }
 
 // ShardOf returns the index of the lock stripe h routes to. Callers
 // batching operations group hashes by this index and hand each group
-// to ClaimBatch/WinnerBatch, paying one lock acquisition per group
+// to ClaimBatchRef/WinnerBatch, paying one lock acquisition per group
 // instead of one per chunk.
 func (s *Store) ShardOf(h Hash) int {
 	return int(binary.LittleEndian.Uint32(h[:4]) & s.mask)
@@ -206,14 +213,13 @@ func (sh *shard) putLocked(h Hash, size int64) (isNew bool) {
 	e.size = size
 	sh.chunks[h] = idx
 	sh.bytes.Add(size)
-	sh.puts.Add(1)
 	sh.unique.Add(1)
 	return true
 }
 
 // claimLocked records (at, user) as a would-be uploader of h in a
 // locked shard; the earliest (at, user) pair wins. One map access
-// covers the insert, the put/hit counters and the claim minimum; the
+// covers the insert, the counters and the claim minimum; the
 // returned entry is the chunk's stable slab slot.
 func (sh *shard) claimLocked(h Hash, size, at, user int64) *entry {
 	idx, ok := sh.chunks[h]
@@ -222,7 +228,6 @@ func (sh *shard) claimLocked(h Hash, size, at, user int64) *entry {
 		*e = entry{size: size, at: at, user: user, claimed: true}
 		sh.chunks[h] = idx
 		sh.bytes.Add(size)
-		sh.puts.Add(1)
 		sh.unique.Add(1)
 		return e
 	}
@@ -241,7 +246,7 @@ func (sh *shard) claimLocked(h Hash, size, at, user int64) *entry {
 // exactly the upload set a sequential virtual-time replay would: the
 // earliest claimant uploads, everyone else deduplicates (see Winner).
 // The chunk itself is stored as by PutHashed, and the claim counts
-// identically toward the put/hit counters.
+// identically toward the unique/hit counters.
 func (s *Store) Claim(h Hash, size int64, at, user int64) {
 	sh := s.shardFor(h)
 	sh.mu.Lock()
@@ -249,29 +254,16 @@ func (s *Store) Claim(h Hash, size int64, at, user int64) {
 	sh.mu.Unlock()
 }
 
-// ClaimBatch is Claim for a group of chunks that all route to the same
-// shard (group with ShardOf): one lock acquisition covers the whole
-// batch. The batch is processed in order and is exactly equivalent to
-// calling Claim(hs[i], sizes[i], at, user) for each i — the claim
-// minimum is order-free, so batching cannot change the resolved upload
-// set. hs and sizes must have equal length; an empty batch is a no-op.
-func (s *Store) ClaimBatch(hs []Hash, sizes []int64, at, user int64) {
-	if len(hs) == 0 {
-		return
-	}
-	sh := s.shardFor(hs[0])
-	sh.mu.Lock()
-	for i, h := range hs {
-		sh.claimLocked(h, sizes[i], at, user)
-	}
-	sh.mu.Unlock()
-}
-
-// ClaimBatchRef is ClaimBatch returning each chunk's ChunkRef in
-// out[i]: the claim probe already finds the entry, so a claimant that
-// will later ask Winner can keep the handle and resolve through
-// ChunkRef.WonBy without a second map probe. len(out) must equal
-// len(hs).
+// ClaimBatchRef is Claim for a group of chunks that all route to the
+// same shard (group with ShardOf): one lock acquisition covers the
+// whole batch. The batch is processed in order and is exactly
+// equivalent to calling Claim(hs[i], sizes[i], at, user) for each i —
+// the claim minimum is order-free, so batching cannot change the
+// resolved upload set. Each chunk's ChunkRef lands in out[i]: the
+// claim probe already finds the entry, so a claimant that will later
+// ask Winner can keep the handle and resolve through ChunkRef.WonBy
+// without a second map probe. hs, sizes and out must have equal
+// length; an empty batch is a no-op.
 func (s *Store) ClaimBatchRef(hs []Hash, sizes []int64, at, user int64, out []ChunkRef) {
 	if len(hs) == 0 {
 		return
@@ -360,18 +352,6 @@ func (s *Store) Hits() int64 {
 	var n int64
 	for i := range s.shards {
 		n += s.shards[i].hits.Load()
-	}
-	return n
-}
-
-// Puts returns how many Put/PutHashed/Claim calls stored new content,
-// aggregated across shards without taking any lock. Puts+Hits is the
-// total offered chunk count; Puts == UniqueChunks when the store
-// started empty.
-func (s *Store) Puts() int64 {
-	var n int64
-	for i := range s.shards {
-		n += s.shards[i].puts.Load()
 	}
 	return n
 }

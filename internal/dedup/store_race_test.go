@@ -51,8 +51,8 @@ func TestStoreConcurrentStress(t *testing.T) {
 						hb := [1]Hash{h}
 						sb := [1]int64{100}
 						at := int64((workers+w)*opsPerWorker + i)
-						s.ClaimBatch(hb[:], sb[:], at, int64(w))
 						var refs [1]ChunkRef
+						s.ClaimBatchRef(hb[:], sb[:], at, int64(w), refs[:])
 						s.ClaimBatchRef(hb[:], sb[:], at+1, int64(w), refs[:])
 						var out [1]bool
 						s.WinnerBatch(hb[:], 0, 0, out[:])
@@ -79,15 +79,12 @@ func TestStoreConcurrentStress(t *testing.T) {
 		if got := s.StoredBytes(); got != wantBytes {
 			t.Fatalf("shards=%d: StoredBytes = %d, want %d", shards, got, wantBytes)
 		}
-		if s.Puts() != int64(wantUnique) {
-			t.Fatalf("shards=%d: Puts = %d, want %d", shards, s.Puts(), wantUnique)
-		}
-		// Every (PutHashed|Claim|ClaimBatch) call either stored or
+		// Every (PutHashed|Claim|ClaimBatchRef) call either stored or
 		// hit; the stress loop issues exactly 5 store-ops per 5
 		// iterations (cases 0, 1, 2 one each; case 3 two).
 		wantOps := int64(workers * opsPerWorker)
-		if got := s.Puts() + s.Hits(); got != wantOps {
-			t.Fatalf("shards=%d: Puts+Hits = %d, want %d", shards, got, wantOps)
+		if got := int64(s.UniqueChunks()) + s.Hits(); got != wantOps {
+			t.Fatalf("shards=%d: UniqueChunks+Hits = %d, want %d", shards, got, wantOps)
 		}
 		// The winning claim of each shared chunk is the global
 		// (at, user) minimum over all claimants of that hash: worker

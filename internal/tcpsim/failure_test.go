@@ -45,7 +45,7 @@ func TestSendUntilCutsAtDeadline(t *testing.T) {
 		t.Fatalf("cut at %v, before deadline", last)
 	}
 	// Trace contains exactly the partial payload.
-	up := cap.PayloadBytesDir(trace.AllFlows, trace.Upstream)
+	up := cap.Analyze(trace.AllFlows).PayloadUp
 	if up != sent {
 		t.Fatalf("trace shows %d, SendUntil reported %d", up, sent)
 	}
@@ -99,12 +99,12 @@ func TestSendUntilRetryMakesProgress(t *testing.T) {
 		}
 		at = last
 	}
-	up := cap.PayloadBytesDir(trace.AllFlows, trace.Upstream)
+	up := cap.Analyze(trace.AllFlows).PayloadUp
 	if up != total {
 		t.Fatalf("trace %d != cumulative sent %d", up, total)
 	}
 	//simlint:allow goldendiscipline -- the scenario above scripts exactly 3 Dials; a structural count, not a refreshable metric
-	if cap.ConnectionCount(trace.AllFlows) != 3 {
+	if cap.Analyze(trace.AllFlows).Connections != 3 {
 		t.Fatal("expected 3 connections")
 	}
 }

@@ -15,139 +15,202 @@ import (
 //   - pause detection            -> chunk-size inference (Sect. 4.1)
 //   - cumulative byte timeline   -> idle/background traffic (Fig. 1)
 //
-// The scalar metrics all derive from one single-pass scan, Analyze:
-// the measurement engine calls it once per (window, filter) pair and
-// reads every Sect. 5 number off the result, where it previously
-// re-scanned the trace once per metric. The historical per-metric
-// methods survive as thin wrappers.
+// The scalar metrics all derive from one fold: fold.add is the only
+// code that adds a record's bytes, payload bracket and SYNs to
+// Analysis state. Both sinks run it — Capture.Analyze over the
+// buffered records, StreamWindow at record time over each record
+// clipped to its window — so Capture.Window(from, to).Analyze(f) and
+// the StreamWindow over [from, to) agree by construction. The
+// measurement engine reads every Sect. 5 number off one Analysis per
+// (window, filter) pair.
 
-// Analysis is every scalar trace metric over one flow selection,
-// computed in a single scan by Analyze.
+// Analysis is every scalar trace metric over one flow selection.
 type Analysis struct {
-	// Packets counts the selected trace records.
+	// Packets counts the selected trace records (span records count
+	// their slices).
 	Packets int
 
 	// TotalWire is on-the-wire bytes in both directions, including
-	// pure-ACK accounting (TotalWireBytes).
+	// pure-ACK accounting.
 	TotalWire int64
 	// WireUp/WireDown are directional wire bytes; ACK bytes carried
-	// on a data record count towards the opposite direction, exactly
-	// as WireBytesDir reports them. TotalWire == WireUp + WireDown.
+	// on a data record count towards the opposite direction (the
+	// receiver emits them). TotalWire == WireUp + WireDown.
 	WireUp, WireDown int64
-	// PayloadUp/PayloadDown are directional application payload bytes
-	// (PayloadBytesDir).
+	// PayloadUp/PayloadDown are directional application payload bytes.
 	PayloadUp, PayloadDown int64
 
 	// FirstPayload/LastPayload bracket the payload-carrying packets;
-	// valid only when HasPayload is true. The paper measures
-	// completion time between these two instants, tear-down excluded.
+	// valid only when HasPayload is true. FirstPayload is the paper's
+	// synchronization-start event ("the first storage flow"), and the
+	// paper measures completion time between these two instants,
+	// tear-down excluded.
 	FirstPayload, LastPayload time.Time
 	HasPayload                bool
 
-	// SYNTimes are the client-initiated SYN instants in trace order;
-	// Connections == len(SYNTimes) (Fig. 3).
+	// SYNTimes are the client-initiated SYN instants in stable time
+	// order; Connections == len(SYNTimes) (Fig. 3).
 	SYNTimes    []time.Time
 	Connections int
 }
 
-// Analyze computes every scalar metric over the selected flows in one
-// scan of the trace. It is the workhorse behind MeasureWindow and the
-// per-metric convenience methods.
-func (c *Capture) Analyze(f FlowFilter) Analysis {
-	c.flush()
-	set := c.flowSet(f)
-	var a Analysis
-	for i := range c.packets {
-		p := &c.packets[i]
-		if !set[p.Flow] {
-			continue
+// fold accumulates trace records per flow, so flow filters apply at
+// read time and one fold answers every selection. Every output but
+// the SYN timeline is order-independent; SYNs are re-established in
+// stable time order when read, the discipline Capture.flush applies
+// to the whole trace. Memory is O(flows): about a hundred bytes per
+// flow plus one event per connection.
+type fold struct {
+	perFlow []flowAcc
+	syns    []synEvent
+}
+
+// flowAcc is one flow's share of every commutative Analysis metric.
+type flowAcc struct {
+	packets                int
+	totalWire              int64
+	wireUp, wireDown       int64
+	payloadUp, payloadDown int64
+
+	firstPayload, lastPayload time.Time
+	hasPayload                bool
+}
+
+// synEvent is one client-initiated SYN, kept in arrival order.
+type synEvent struct {
+	time time.Time
+	flow FlowID
+}
+
+// add folds one record. A span folds in O(1): its aggregate fields
+// are totals over its slices, and every slice of a data span carries
+// payload, so its payload bracket is [p.Time, p.End()].
+func (fd *fold) add(p *Packet) {
+	for int(p.Flow) >= len(fd.perFlow) {
+		fd.perFlow = append(fd.perFlow, flowAcc{})
+	}
+	a := &fd.perFlow[p.Flow]
+	a.packets += p.SliceCount()
+	a.totalWire += p.Wire + p.AckWire
+	if p.Dir == Upstream {
+		a.wireUp += p.Wire
+		a.wireDown += p.AckWire
+		a.payloadUp += p.Payload
+		if p.Flags.SYN && !p.Flags.ACK {
+			fd.syns = append(fd.syns, synEvent{time: p.Time, flow: p.Flow})
 		}
-		// Span records fold in O(1): the aggregate fields are totals
-		// over the slices, and the payload bracket covers [Time, End].
-		a.Packets += p.SliceCount()
-		a.TotalWire += p.Wire + p.AckWire
-		if p.Dir == Upstream {
-			a.WireUp += p.Wire
-			a.WireDown += p.AckWire
-			a.PayloadUp += p.Payload
-			if p.Flags.SYN && !p.Flags.ACK {
-				a.SYNTimes = append(a.SYNTimes, p.Time)
-			}
+	} else {
+		a.wireDown += p.Wire
+		a.wireUp += p.AckWire
+		a.payloadDown += p.Payload
+	}
+	if p.Payload > 0 {
+		// Records arrive slightly out of order, and a span's End can
+		// lie beyond the start of records sorted after it, so the
+		// bracket is a min/max fold.
+		first, last := p.Time, p.End()
+		if !a.hasPayload {
+			a.firstPayload, a.lastPayload, a.hasPayload = first, last, true
 		} else {
-			a.WireDown += p.Wire
-			a.WireUp += p.AckWire
-			a.PayloadDown += p.Payload
-		}
-		if p.Payload > 0 {
-			if !a.HasPayload {
-				a.FirstPayload = p.Time
-				a.HasPayload = true
+			if first.Before(a.firstPayload) {
+				a.firstPayload = first
 			}
-			// A span's last payload instant (End) can lie beyond the
-			// start times of records sorted after it, so the bracket
-			// is a max fold rather than last-in-scan-order.
-			if end := p.End(); end.After(a.LastPayload) {
-				a.LastPayload = end
+			if last.After(a.lastPayload) {
+				a.lastPayload = last
 			}
 		}
 	}
+}
+
+// analysis merges the accumulators of the flows f selects (nil
+// selects all) into one Analysis.
+func (fd *fold) analysis(flows []FlowInfo, f FlowFilter) Analysis {
+	var a Analysis
+	for id := range fd.perFlow {
+		if f != nil && !f(flows[id]) {
+			continue
+		}
+		acc := &fd.perFlow[id]
+		a.Packets += acc.packets
+		a.TotalWire += acc.totalWire
+		a.WireUp += acc.wireUp
+		a.WireDown += acc.wireDown
+		a.PayloadUp += acc.payloadUp
+		a.PayloadDown += acc.payloadDown
+		if acc.hasPayload {
+			if !a.HasPayload {
+				a.FirstPayload, a.LastPayload, a.HasPayload = acc.firstPayload, acc.lastPayload, true
+			} else {
+				if acc.firstPayload.Before(a.FirstPayload) {
+					a.FirstPayload = acc.firstPayload
+				}
+				if acc.lastPayload.After(a.LastPayload) {
+					a.LastPayload = acc.lastPayload
+				}
+			}
+		}
+	}
+	for _, e := range fd.syns {
+		if f == nil || f(flows[e.flow]) {
+			a.SYNTimes = append(a.SYNTimes, e.time)
+		}
+	}
+	// Stable: equal timestamps keep arrival order.
+	sort.SliceStable(a.SYNTimes, func(i, j int) bool {
+		return a.SYNTimes[i].Before(a.SYNTimes[j])
+	})
 	a.Connections = len(a.SYNTimes)
 	return a
 }
 
-// TotalWireBytes sums on-the-wire bytes in both directions over the
-// selected flows, including pure-ACK accounting.
-func (c *Capture) TotalWireBytes(f FlowFilter) int64 {
-	return c.Analyze(f).TotalWire
-}
-
-// WireBytesDir sums on-the-wire bytes in one direction. ACK bytes
-// carried on a data record count towards the opposite direction (the
-// receiver emits them).
-func (c *Capture) WireBytesDir(f FlowFilter, dir Direction) int64 {
-	a := c.Analyze(f)
-	if dir == Upstream {
-		return a.WireUp
+// flowBytes returns total wire bytes per flow, indexed by FlowID,
+// for a trace of n flows.
+func (fd *fold) flowBytes(n int) []int64 {
+	out := make([]int64, n)
+	for id := range fd.perFlow {
+		out[id] = fd.perFlow[id].totalWire
 	}
-	return a.WireDown
+	return out
 }
 
-// PayloadBytesDir sums application payload bytes in one direction.
-func (c *Capture) PayloadBytesDir(f FlowFilter, dir Direction) int64 {
-	a := c.Analyze(f)
-	if dir == Upstream {
-		return a.PayloadUp
+// flowsWithTraffic reports which of n flows carry at least one record.
+func (fd *fold) flowsWithTraffic(n int) []bool {
+	out := make([]bool, n)
+	for id := range fd.perFlow {
+		out[id] = fd.perFlow[id].packets > 0
 	}
-	return a.PayloadDown
+	return out
 }
 
-// FirstPayloadTime returns the time of the first payload-carrying
-// packet over the selected flows. ok is false if none exists. This is
-// the paper's synchronization-start event ("the first storage flow").
-func (c *Capture) FirstPayloadTime(f FlowFilter) (t time.Time, ok bool) {
-	a := c.Analyze(f)
-	return a.FirstPayload, a.HasPayload
+// scan folds every record of the time-sorted trace.
+func (c *Capture) scan() *fold {
+	c.flush()
+	fd := &fold{}
+	for i := range c.packets {
+		fd.add(&c.packets[i])
+	}
+	return fd
 }
 
-// LastPayloadTime returns the time of the last payload-carrying packet
-// over the selected flows. The paper measures completion time between
-// the first and last packet with payload, ignoring TCP tear-down.
-func (c *Capture) LastPayloadTime(f FlowFilter) (t time.Time, ok bool) {
-	a := c.Analyze(f)
-	return a.LastPayload, a.HasPayload
+// Analyze computes every scalar metric over the selected flows in one
+// scan of the trace. It is the workhorse behind MeasureWindow.
+func (c *Capture) Analyze(f FlowFilter) Analysis {
+	return c.scan().analysis(c.flows, f)
 }
 
-// SYNTimes returns the timestamps of client-initiated SYN packets over
-// the selected flows, in capture order. Plotting len(prefix) against
-// time reproduces Fig. 3.
-func (c *Capture) SYNTimes(f FlowFilter) []time.Time {
-	return c.Analyze(f).SYNTimes
+// FlowBytes returns total wire bytes per flow, indexed by FlowID. The
+// paper uses per-flow sizes to tell Wuala's storage flows from its
+// control flows, since Wuala does not split them by server name.
+func (c *Capture) FlowBytes() []int64 {
+	return c.scan().flowBytes(len(c.flows))
 }
 
-// ConnectionCount returns the number of client-initiated connections
-// over the selected flows (SYN count, excluding SYN-ACKs).
-func (c *Capture) ConnectionCount(f FlowFilter) int {
-	return c.Analyze(f).Connections
+// FlowsWithTraffic reports which flows carry at least one packet in
+// this capture, indexed by FlowID. On a Window sub-capture the flow
+// metadata still spans the whole session, so this is how analyzers
+// find the connections active within the window.
+func (c *Capture) FlowsWithTraffic() []bool {
+	return c.scan().flowsWithTraffic(len(c.flows))
 }
 
 // TimelinePoint is one step of a cumulative byte timeline.
@@ -297,19 +360,6 @@ func (c *Capture) ThroughputTimeline(f FlowFilter, bucket time.Duration) []RateP
 			Time: first.Add(time.Duration(i) * bucket),
 			Bps:  float64(b*8) / bucket.Seconds(),
 		}
-	}
-	return out
-}
-
-// FlowBytes returns total wire bytes per flow, indexed by FlowID. The
-// paper uses per-flow sizes to tell Wuala's storage flows from its
-// control flows, since Wuala does not split them by server name.
-func (c *Capture) FlowBytes() []int64 {
-	c.flush()
-	out := make([]int64, len(c.flows))
-	for i := range c.packets {
-		p := &c.packets[i]
-		out[p.Flow] += p.Wire + p.AckWire
 	}
 	return out
 }

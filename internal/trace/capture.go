@@ -209,19 +209,6 @@ func (c *Capture) ExpandedPackets() []Packet {
 	return out
 }
 
-// FlowsWithTraffic reports which flows carry at least one packet in
-// this capture, indexed by FlowID. On a Window sub-capture the flow
-// metadata still spans the whole session, so this is how analyzers
-// find the connections active within the window.
-func (c *Capture) FlowsWithTraffic() []bool {
-	c.flush()
-	out := make([]bool, len(c.flows))
-	for i := range c.packets {
-		out[c.packets[i].Flow] = true
-	}
-	return out
-}
-
 // FlowFilter selects a subset of connections, usually by server name
 // (the paper separates control from storage traffic by DNS name).
 type FlowFilter func(FlowInfo) bool

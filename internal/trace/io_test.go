@@ -24,10 +24,10 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Fatalf("packets differ")
 	}
 	// Analyzers agree on the reloaded capture.
-	if c.TotalWireBytes(AllFlows) != back.TotalWireBytes(AllFlows) {
+	if c.Analyze(AllFlows).TotalWire != back.Analyze(AllFlows).TotalWire {
 		t.Fatal("byte totals differ after round trip")
 	}
-	if len(c.SYNTimes(AllFlows)) != len(back.SYNTimes(AllFlows)) {
+	if len(c.Analyze(AllFlows).SYNTimes) != len(back.Analyze(AllFlows).SYNTimes) {
 		t.Fatal("SYN counts differ after round trip")
 	}
 }

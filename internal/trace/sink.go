@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -17,12 +16,13 @@ import (
 //     at record time and then discards them — the "compute the
 //     counters in the kernel" equivalent, O(flows) memory.
 //
-// Both honour the same time-ordering discipline: connections simulate
-// on independent timelines, so records may arrive slightly out of
-// order, and every analyzer result is defined over the stably
-// time-sorted trace (Capture re-establishes the order with its reorder
-// buffer; Streamer's folds are order-independent except for the SYN
-// timeline, which it re-establishes the same way at read time).
+// Both compute every scalar metric with the same fold (fold.add): a
+// Capture runs it over its buffered records when read, a Streamer over
+// each record as it arrives. The fold is order-independent except for
+// the SYN timeline, which it re-establishes in stable time order at
+// read time, so records arriving slightly out of order (connections
+// simulate on independent timelines) give the same result as the
+// stably time-sorted trace.
 type Sink interface {
 	// OpenFlow registers a new connection and returns its ID.
 	OpenFlow(key FlowKey, serverName string, at time.Time) FlowID
@@ -43,22 +43,20 @@ var (
 // (production-scale runs of the Sect. 5 benchmarks never re-read the
 // trace, they only need the per-window Analysis).
 //
-// The contract mirrors Capture exactly:
-//
-//   - StreamWindow.Analyze(f) is bit-identical to
-//     Capture.Window(from, to).Analyze(f) over the same records,
-//     including the SYNTimes order (stable time order, re-established
-//     by the same reorder discipline Capture.flush applies) and the
-//     HasPayload/FirstPayload/LastPayload bracket.
-//   - Filters are applied at read time, against FlowInfo, so
-//     classifiers that need per-flow traffic totals (the Wuala
-//     flow-size heuristic) work from StreamWindow.FlowBytes.
+// A StreamWindow over [from, to) clips each record to the window
+// (Packet.Clip, as Capture.Window does) and feeds the clipped part to
+// the same fold Capture.Analyze runs, so StreamWindow.Analyze(f)
+// equals Capture.Window(from, to).Analyze(f) over the same records by
+// construction, and likewise FlowBytes and FlowsWithTraffic. Filters
+// apply at read time, against FlowInfo, so classifiers that need
+// per-flow traffic totals (the Wuala flow-size heuristic) work from
+// StreamWindow.FlowBytes.
 //
 // Windows must be registered before any packet whose timestamp falls
-// inside them is recorded; AddWindow enforces this, which is what
-// makes a fold over a discarded trace provably equal to a scan over a
-// buffered one. Like Capture, a Streamer is not safe for concurrent
-// use — the campaign engine gives every experiment cell its own sink.
+// inside them is recorded; AddWindow enforces this, so no record the
+// buffered capture would see is missed by the discarded trace. Like
+// Capture, a Streamer is not safe for concurrent use — the campaign
+// engine gives every experiment cell its own sink.
 type Streamer struct {
 	flows []FlowInfo
 	wins  []*StreamWindow
@@ -122,28 +120,6 @@ func (s *Streamer) Flow(id FlowID) FlowInfo { return s.flows[id] }
 // NumFlows returns how many connections the streamer saw.
 func (s *Streamer) NumFlows() int { return len(s.flows) }
 
-// flowAcc is the per-(window, flow) fold of every commutative Analysis
-// metric. About a hundred bytes per flow per window — together with
-// the per-connection SYN events, the whole memory footprint of a
-// streamed repetition.
-type flowAcc struct {
-	packets                int
-	totalWire              int64
-	wireUp, wireDown       int64
-	payloadUp, payloadDown int64
-
-	firstPayload, lastPayload time.Time
-	hasPayload                bool
-}
-
-// synEvent is one client-initiated SYN, kept in arrival order. SYN
-// timelines are the only order-sensitive Analysis output, and there is
-// one per connection, so retaining them stays O(flows).
-type synEvent struct {
-	time time.Time
-	flow FlowID
-}
-
 // StreamWindow accumulates one [from, to) time slice of the stream.
 // It answers the same questions as a Capture.Window over the same
 // records — Analyze, FlowBytes, FlowsWithTraffic — without the
@@ -151,8 +127,7 @@ type synEvent struct {
 type StreamWindow struct {
 	s        *Streamer
 	from, to time.Time
-	perFlow  []flowAcc
-	syns     []synEvent
+	acc      fold
 }
 
 // From returns the window's inclusive lower bound.
@@ -161,120 +136,32 @@ func (w *StreamWindow) From() time.Time { return w.from }
 // To returns the window's exclusive upper bound.
 func (w *StreamWindow) To() time.Time { return w.to }
 
-// record folds one packet, mirroring Capture.Analyze's per-packet body
-// exactly — split per flow so filters can be applied at read time. A
-// span is first clipped to the window (O(1): index arithmetic over the
-// uniform slicing), so a span straddling a boundary contributes
-// exactly its in-window slices, and a fully contained one folds its
-// precomputed totals without expansion.
+// record folds one packet's in-window part. A span is first clipped
+// to the window (O(1): index arithmetic over the uniform slicing), so
+// a span straddling a boundary contributes exactly its in-window
+// slices, and a fully contained one folds its totals without
+// expansion — the same clip Capture.Window applies.
 func (w *StreamWindow) record(p Packet) {
-	cl, ok := p.Clip(w.from, w.to)
-	if !ok {
-		return
-	}
-	for int(cl.Flow) >= len(w.perFlow) {
-		w.perFlow = append(w.perFlow, flowAcc{})
-	}
-	a := &w.perFlow[cl.Flow]
-	a.packets += cl.SliceCount()
-	a.totalWire += cl.Wire + cl.AckWire
-	if cl.Dir == Upstream {
-		a.wireUp += cl.Wire
-		a.wireDown += cl.AckWire
-		a.payloadUp += cl.Payload
-		if cl.Flags.SYN && !cl.Flags.ACK {
-			w.syns = append(w.syns, synEvent{time: cl.Time, flow: cl.Flow})
-		}
-	} else {
-		a.wireDown += cl.Wire
-		a.wireUp += cl.AckWire
-		a.payloadDown += cl.Payload
-	}
-	if cl.Payload > 0 {
-		// Every slice of a data span carries payload, so the span's
-		// in-window payload bracket is [cl.Time, cl.End()].
-		first, last := cl.Time, cl.End()
-		if !a.hasPayload {
-			a.firstPayload = first
-			a.lastPayload = last
-			a.hasPayload = true
-		} else {
-			// Records arrive slightly out of order, so the payload
-			// bracket is a min/max fold; over the stably sorted trace
-			// these are exactly the first and last payload instants.
-			if first.Before(a.firstPayload) {
-				a.firstPayload = first
-			}
-			if last.After(a.lastPayload) {
-				a.lastPayload = last
-			}
-		}
+	if cl, ok := p.Clip(w.from, w.to); ok {
+		w.acc.add(&cl)
 	}
 }
 
 // Analyze merges the per-flow accumulators of the selected flows into
-// one Analysis, bit-identical to Capture.Window(from, to).Analyze(f)
-// over the same records. The SYN timeline is re-established in stable
-// time order — the same discipline Capture's reorder buffer applies to
-// the whole trace before analyzers read it: sort by timestamp, equal
-// timestamps keep arrival order.
+// one Analysis — the fold Capture.Window(from, to).Analyze(f) runs
+// over the same records.
 func (w *StreamWindow) Analyze(f FlowFilter) Analysis {
-	var a Analysis
-	for id := range w.perFlow {
-		if f != nil && !f(w.s.flows[id]) {
-			continue
-		}
-		acc := &w.perFlow[id]
-		a.Packets += acc.packets
-		a.TotalWire += acc.totalWire
-		a.WireUp += acc.wireUp
-		a.WireDown += acc.wireDown
-		a.PayloadUp += acc.payloadUp
-		a.PayloadDown += acc.payloadDown
-		if acc.hasPayload {
-			if !a.HasPayload {
-				a.FirstPayload = acc.firstPayload
-				a.LastPayload = acc.lastPayload
-				a.HasPayload = true
-			} else {
-				if acc.firstPayload.Before(a.FirstPayload) {
-					a.FirstPayload = acc.firstPayload
-				}
-				if acc.lastPayload.After(a.LastPayload) {
-					a.LastPayload = acc.lastPayload
-				}
-			}
-		}
-	}
-	for _, e := range w.syns {
-		if f == nil || f(w.s.flows[e.flow]) {
-			a.SYNTimes = append(a.SYNTimes, e.time)
-		}
-	}
-	sort.SliceStable(a.SYNTimes, func(i, j int) bool {
-		return a.SYNTimes[i].Before(a.SYNTimes[j])
-	})
-	a.Connections = len(a.SYNTimes)
-	return a
+	return w.acc.analysis(w.s.flows, f)
 }
 
 // FlowBytes returns total wire bytes per flow within the window,
-// indexed by FlowID — the Wuala storage/control classifier input,
-// identical to Capture.Window(from, to).FlowBytes().
+// indexed by FlowID — the Wuala storage/control classifier input.
 func (w *StreamWindow) FlowBytes() []int64 {
-	out := make([]int64, len(w.s.flows))
-	for id := range w.perFlow {
-		out[id] = w.perFlow[id].totalWire
-	}
-	return out
+	return w.acc.flowBytes(len(w.s.flows))
 }
 
 // FlowsWithTraffic reports which flows carry at least one packet in
-// the window, indexed by FlowID, identical to the Capture method.
+// the window, indexed by FlowID.
 func (w *StreamWindow) FlowsWithTraffic() []bool {
-	out := make([]bool, len(w.s.flows))
-	for id := range w.perFlow {
-		out[id] = w.perFlow[id].packets > 0
-	}
-	return out
+	return w.acc.flowsWithTraffic(len(w.s.flows))
 }

@@ -69,13 +69,13 @@ func TestAckWireAccounting(t *testing.T) {
 	c := NewCapture()
 	id := c.OpenFlow(FlowKey{}, "s", at(0))
 	c.Record(Packet{Time: at(0), Flow: id, Dir: Upstream, Payload: 2920, Wire: 3052, Segments: 2, AckWire: 66})
-	if got := c.TotalWireBytes(AllFlows); got != 3052+66 {
-		t.Fatalf("TotalWireBytes = %d", got)
+	if got := c.Analyze(AllFlows).TotalWire; got != 3052+66 {
+		t.Fatalf("TotalWire = %d", got)
 	}
-	if got := c.WireBytesDir(AllFlows, Upstream); got != 3052 {
+	if got := c.Analyze(AllFlows).WireUp; got != 3052 {
 		t.Fatalf("up = %d", got)
 	}
-	if got := c.WireBytesDir(AllFlows, Downstream); got != 66 {
+	if got := c.Analyze(AllFlows).WireDown; got != 66 {
 		t.Fatalf("down (acks) = %d", got)
 	}
 	if got := c.FlowBytes()[0]; got != 3118 {
@@ -85,45 +85,44 @@ func TestAckWireAccounting(t *testing.T) {
 
 func TestByteAccounting(t *testing.T) {
 	c := buildCapture()
-	if got := c.TotalWireBytes(AllFlows); got != 74+74+366+566+74+74+1526+3052+1526+266+66 {
-		t.Fatalf("TotalWireBytes = %d", got)
+	if got := c.Analyze(AllFlows).TotalWire; got != 74+74+366+566+74+74+1526+3052+1526+266+66 {
+		t.Fatalf("TotalWire = %d", got)
 	}
-	if got := c.WireBytesDir(storageOnly, Upstream); got != 74+1526+3052+1526+66 {
+	if got := c.Analyze(storageOnly).WireUp; got != 74+1526+3052+1526+66 {
 		t.Fatalf("storage upstream wire = %d", got)
 	}
-	if got := c.PayloadBytesDir(storageOnly, Upstream); got != 1460+2920+1460 {
+	if got := c.Analyze(storageOnly).PayloadUp; got != 1460+2920+1460 {
 		t.Fatalf("storage upstream payload = %d", got)
 	}
-	if got := c.PayloadBytesDir(controlOnly, Downstream); got != 500 {
+	if got := c.Analyze(controlOnly).PayloadDown; got != 500 {
 		t.Fatalf("control downstream payload = %d", got)
 	}
 }
 
 func TestFirstLastPayload(t *testing.T) {
 	c := buildCapture()
-	first, ok := c.FirstPayloadTime(storageOnly)
-	if !ok || !first.Equal(at(60)) {
-		t.Fatalf("FirstPayloadTime = %v,%v", first, ok)
+	a := c.Analyze(storageOnly)
+	if !a.HasPayload || !a.FirstPayload.Equal(at(60)) {
+		t.Fatalf("FirstPayload = %v,%v", a.FirstPayload, a.HasPayload)
 	}
-	last, ok := c.LastPayloadTime(storageOnly)
-	if !ok || !last.Equal(at(480)) {
-		t.Fatalf("LastPayloadTime = %v,%v", last, ok)
+	if !a.LastPayload.Equal(at(480)) {
+		t.Fatalf("LastPayload = %v", a.LastPayload)
 	}
-	if _, ok := c.FirstPayloadTime(func(FlowInfo) bool { return false }); ok {
-		t.Fatal("FirstPayloadTime matched empty filter")
+	if c.Analyze(func(FlowInfo) bool { return false }).HasPayload {
+		t.Fatal("HasPayload on empty filter")
 	}
 }
 
 func TestSYNCounting(t *testing.T) {
 	c := buildCapture()
-	ts := c.SYNTimes(AllFlows)
+	ts := c.Analyze(AllFlows).SYNTimes
 	if len(ts) != 2 {
 		t.Fatalf("SYN count = %d, want 2 (SYN-ACKs excluded)", len(ts))
 	}
 	if !ts[0].Equal(at(0)) || !ts[1].Equal(at(40)) {
 		t.Fatalf("SYN times = %v", ts)
 	}
-	if got := c.ConnectionCount(storageOnly); got != 1 {
+	if got := c.Analyze(storageOnly).Connections; got != 1 {
 		t.Fatalf("storage connections = %d", got)
 	}
 }
