@@ -29,6 +29,11 @@
 // -cpuprofile and -memprofile write standard runtime/pprof profiles
 // (inspect with go tool pprof); the heap profile is taken at exit
 // after a GC, so it reflects retention, not transient churn.
+//
+// Flags are checked before anything is simulated: a negative -users,
+// a non-positive -day or -bucket, -shards outside [1, 4096], a bad
+// -populations entry or a day of more load-curve buckets than the
+// engine accepts (core.FleetConfig.Validate) exits with status 2.
 package main
 
 import (
@@ -45,6 +50,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/dedup"
 )
+
+// maxShards bounds -shards: every shard is a lock stripe with its own
+// map, allocated up front.
+const maxShards = 4096
 
 // report is the deterministic part of a fleetbench run: the fleet
 // day's outcome and, when requested, the population sweep. No
@@ -75,6 +84,37 @@ func main() {
 	)
 	flag.Parse()
 
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "fleetbench: "+format+"\n", args...)
+		os.Exit(2)
+	}
+	var sizes []int
+	if *populations != "" {
+		var err error
+		if sizes, err = parsePopulations(*populations); err != nil {
+			usage("%v", err)
+		}
+	}
+	switch {
+	case *users < 0:
+		usage("-users %d: must be >= 0", *users)
+	case *day <= 0:
+		usage("-day %v: must be > 0", *day)
+	case *bucket <= 0:
+		usage("-bucket %v: must be > 0", *bucket)
+	case *shards < 1 || *shards > maxShards:
+		usage("-shards %d: must be in [1, %d]", *shards, maxShards)
+	}
+	cfg := core.FleetConfig{
+		Users:  *users,
+		Seed:   *seed,
+		Day:    *day,
+		Bucket: *bucket,
+	}
+	if err := cfg.Validate(); err != nil {
+		usage("%v", err)
+	}
+
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -103,13 +143,7 @@ func main() {
 		}()
 	}
 
-	cfg := core.FleetConfig{
-		Users:  *users,
-		Seed:   *seed,
-		Day:    *day,
-		Bucket: *bucket,
-		Store:  dedup.NewStoreShardedSized(*shards, core.FleetChunkHint(*users, *day)),
-	}
+	cfg.Store = dedup.NewStoreShardedSized(*shards, core.FleetChunkHint(*users, *day))
 	rep := report{
 		Users:  *users,
 		Seed:   *seed,
@@ -125,12 +159,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "wall: %v (%.0f users/s on %d procs)\n",
 		wall.Round(time.Millisecond), float64(*users)/wall.Seconds(), runtime.GOMAXPROCS(0))
 
-	if *populations != "" {
-		sizes, err := parsePopulations(*populations)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+	if sizes != nil {
 		sweepCfg := cfg
 		sweepCfg.Store = nil // the sweep allocates a fresh backend per size
 		start = time.Now()
@@ -165,7 +194,7 @@ func parsePopulations(s string) ([]int, error) {
 	for _, p := range parts {
 		n, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil || n < 0 {
-			return nil, fmt.Errorf("fleetbench: bad population %q", p)
+			return nil, fmt.Errorf("bad population %q", p)
 		}
 		sizes = append(sizes, n)
 	}

@@ -188,21 +188,21 @@
 // (dedup.Store.ClaimBatchRef) — and the store keeps the earliest claim
 // per chunk, a pure function of offered load whatever the execution
 // interleaving. While claiming, each stripe records its session stream
-// (users, instants, chunk hash/size runs, and each chunk's claimed
+// (users, instants, file counts, and each chunk's size and claimed
 // store ref) into flat append-only arenas. The resolve pass replays
 // those arenas instead of re-deriving the day — RNG forks, arrival
 // draws and chunk hashing run once — and resolves each chunk's winner
 // through its recorded ref (dedup.ChunkRef.WonBy), a direct entry read
-// with no second map probe and no lock. Past a configurable memory
-// budget a stripe drops its log and regenerates from seeds instead —
-// a pure perf fallback, bit-identical by construction. Catalog files'
+// with no second map probe and no lock. Catalog files'
 // sizes and chunk addresses are pure functions of class config and
 // rank, precomputed into per-class tables so popular-file references
 // cost no hashing at all.
 //
 // cmd/fleetbench reports the service-side load curves (bytes/s,
 // concurrent connections, dedup ratio vs population size) and takes
-// -cpuprofile/-memprofile for engine work; perfbench's fleet-day
+// -cpuprofile/-memprofile for engine work; core.FleetConfig.Validate
+// rejects a config that could not run before anything is simulated,
+// and fleetbench exits 2 on it; perfbench's fleet-day
 // workload times it end to end with per-module attribution; and
 // scripts/fleetsmoke.sh byte-compares fleetbench reports across
 // worker counts and store shard counts in CI.

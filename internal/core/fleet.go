@@ -45,11 +45,10 @@ import (
 //     claim per chunk — a pure function of the offered load, whatever
 //     the execution interleaving. While claiming, each stripe records
 //     its session stream into a flat append-only log (fleetlog.go).
-//   - Resolve pass: the day replays from the session log (or, past the
-//     log's memory budget, regenerates from seeds — bit-identical
-//     either way) and each session asks the store who won its chunks
-//     (dedup.Store.WinnerBatch): the earliest claimant uploads, every
-//     other claimant deduplicates — exactly the outcome of a
+//   - Resolve pass: the day replays from the session log, and each
+//     session reads who won its chunks off the store refs its claims
+//     returned (dedup.ChunkRef.WonBy): the earliest claimant uploads,
+//     every other claimant deduplicates — exactly the outcome of a
 //     sequential virtual-time replay, now computed on all cores.
 //
 // The log is what makes the day one generation pass: RNG forks,
@@ -140,14 +139,6 @@ type FleetConfig struct {
 	// the same result. Default 256.
 	Stripes int
 
-	// LogBudget caps the total bytes of session log the engine may
-	// retain across all stripes between the claim and resolve passes
-	// (default DefaultFleetLogBudget). A stripe whose share of the
-	// budget overflows regenerates its sessions from seeds instead of
-	// replaying — a pure perf fallback; the simulated day is identical
-	// either way.
-	LogBudget int64
-
 	// Store is the shared backend; default a fresh dedup.NewStore().
 	// Passing a store lets callers inspect server-side state after
 	// the day, or choose its shard count.
@@ -184,14 +175,64 @@ type classTables struct {
 // a larger catalog derives sizes definitionally instead.
 const maxCatalogTable = 1 << 20
 
+// maxFleetBuckets caps the load-curve resolution: every stripe keeps
+// three per-bucket accumulators, so the bucket count is a per-stripe
+// allocation. A day at one-minute buckets is 1,440.
+const maxFleetBuckets = 1 << 14
+
+// Validate reports why cfg cannot run, or nil: a negative population,
+// a load curve of more than maxFleetBuckets buckets once Day and
+// Bucket take their defaults, an empty class list, or a class without
+// an arrival process, with a non-positive chunk or minimum file size,
+// a file-size range upside down, or a fraction that is NaN, infinite
+// or negative. RunFleet panics with this error.
+func (cfg FleetConfig) Validate() error {
+	if cfg.Users < 0 {
+		return fmt.Errorf("core: fleet users %d < 0", cfg.Users)
+	}
+	day, bucket := cfg.horizon()
+	if nb := day / bucket; nb > maxFleetBuckets {
+		return fmt.Errorf("core: fleet day %v in %v buckets is %d buckets, more than %d", day, bucket, nb, maxFleetBuckets)
+	}
+	if cfg.Classes != nil && len(cfg.Classes) == 0 {
+		return fmt.Errorf("core: fleet has no classes")
+	}
+	for i, c := range cfg.Classes {
+		var bad string
+		switch {
+		case c.Arrival == nil:
+			bad = "has no arrival process"
+		case c.ChunkBytes <= 0:
+			bad = fmt.Sprintf("chunk size %d <= 0", c.ChunkBytes)
+		case c.MinFileBytes <= 0:
+			bad = fmt.Sprintf("minimum file size %d <= 0", c.MinFileBytes)
+		case c.MaxFileBytes < c.MinFileBytes:
+			bad = fmt.Sprintf("maximum file size %d < minimum %d", c.MaxFileBytes, c.MinFileBytes)
+		case math.IsNaN(c.Fraction) || math.IsInf(c.Fraction, 0) || c.Fraction < 0:
+			bad = fmt.Sprintf("fraction %v is not a finite share >= 0", c.Fraction)
+		default:
+			continue
+		}
+		return fmt.Errorf("core: fleet class %d (%q) %s", i, c.Name, bad)
+	}
+	return nil
+}
+
+// horizon resolves the Day and Bucket defaults.
+func (cfg FleetConfig) horizon() (day, bucket time.Duration) {
+	day, bucket = cfg.Day, cfg.Bucket
+	if day <= 0 {
+		day = workload.ServiceDay
+	}
+	if bucket <= 0 {
+		bucket = time.Minute
+	}
+	return day, bucket
+}
+
 // withDefaults resolves the zero fields.
 func (cfg FleetConfig) withDefaults() FleetConfig {
-	if cfg.Day <= 0 {
-		cfg.Day = workload.ServiceDay
-	}
-	if cfg.Bucket <= 0 {
-		cfg.Bucket = time.Minute
-	}
+	cfg.Day, cfg.Bucket = cfg.horizon()
 	if cfg.Classes == nil {
 		cfg.Classes = DefaultFleetClasses()
 	}
@@ -206,9 +247,6 @@ func (cfg FleetConfig) withDefaults() FleetConfig {
 	}
 	if cfg.Stripes > cfg.Users && cfg.Users > 0 {
 		cfg.Stripes = cfg.Users
-	}
-	if cfg.LogBudget <= 0 {
-		cfg.LogBudget = DefaultFleetLogBudget
 	}
 	if cfg.Store == nil {
 		cfg.Store = dedup.NewStoreShardedSized(dedup.DefaultShards, FleetChunkHint(cfg.Users, cfg.Day))
@@ -321,8 +359,11 @@ type FleetResult struct {
 // RunFleet simulates one service day of cfg.Users users against the
 // shared backend and returns the service-side load curves. workers
 // caps the fan-out (0 = one per CPU, 1 = sequential); the result is
-// bit-identical at any value.
+// bit-identical at any value. It panics if cfg.Validate fails.
 func RunFleet(cfg FleetConfig, workers int) FleetResult {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	cfg = cfg.withDefaults()
 	starts := classStarts(cfg.Classes, cfg.Users)
 	nb := int(cfg.Day / cfg.Bucket)
@@ -333,28 +374,18 @@ func RunFleet(cfg FleetConfig, workers int) FleetResult {
 	// Claim pass: generate the day once, recording each stripe's
 	// session stream into its log while the store accumulates every
 	// chunk's earliest (instant, user) pair.
-	perStripe := cfg.LogBudget / int64(cfg.Stripes)
-	if perStripe < 1 {
-		perStripe = 1
-	}
 	logs := RunN(cfg.Stripes, workers, func(stripe int) *fleetLog {
-		log := newFleetLog(perStripe)
-		sink := &claimSink{store: cfg.Store, log: log}
-		walkFleetStripe(cfg, starts, stripe, sink)
+		log := &fleetLog{}
+		walkFleetStripe(cfg, starts, stripe, &claimSink{store: cfg.Store, log: log})
 		return log
 	})
 
-	// Resolve pass: replay the day from the logs (regenerating the
-	// stripes whose logs tripped the budget), attribute uploads to
+	// Resolve pass: replay the day from the logs, attribute uploads to
 	// claim winners, and fold the service-side load curves per stripe.
 	parts := RunN(cfg.Stripes, workers, func(stripe int) *fleetStripeTotals {
 		sink := newResolveSink(cfg, nb)
-		if log := logs[stripe]; !log.full {
-			log.replay(sink)
-			logs[stripe] = nil // release the arenas as stripes finish
-		} else {
-			walkFleetStripe(cfg, starts, stripe, sink)
-		}
+		logs[stripe].replay(sink)
+		logs[stripe] = nil // release the arenas as stripes finish
 		return &sink.tot
 	})
 
@@ -402,14 +433,14 @@ type fleetSink interface {
 }
 
 // chunkBatch buffers one session's chunks and hands them out grouped
-// by store shard, so claim/resolve traffic pays one lock acquisition
-// per (session, shard) group instead of one per chunk. All buffers are
+// by store shard, so claim traffic pays one lock acquisition per
+// (session, shard) group instead of one per chunk. All buffers are
 // reused across sessions; a session allocates nothing once the high-
 // water marks are reached.
 type chunkBatch struct {
 	hashes []dedup.Hash
 	sizes  []int64
-	idxs   []int64 // caller tag per chunk (the claim pass: log arena index)
+	idxs   []int64 // log arena index per chunk
 	shards []int32 // ShardOf cache; consumed (set to -1) while grouping
 
 	gh []dedup.Hash // current group scratch
@@ -472,12 +503,9 @@ func (s *claimSink) StartSession(user int64, at time.Duration) {
 	s.batch.reset()
 }
 func (s *claimSink) Chunk(h dedup.Hash, size int64) {
-	s.log.chunk(h, size)
 	// The chunk's log arena index rides along so EndSession can file
-	// the claimed ref back into the log; -1 (an empty log) and stale
-	// indices after a mid-session drop are both guarded by the !full
-	// check at flush time.
-	s.batch.add(s.store.ShardOf(h), h, size, int64(len(s.log.hashes))-1)
+	// the claimed ref back into the log.
+	s.batch.add(s.store.ShardOf(h), h, size, s.log.chunk(size))
 }
 func (s *claimSink) EndSession(files int) {
 	s.log.endSession(files)
@@ -487,10 +515,8 @@ func (s *claimSink) EndSession(files int) {
 		}
 		out := s.refs[:len(hs)]
 		s.store.ClaimBatchRef(hs, sizes, s.atNs, s.user, out)
-		if l := s.log; !l.full {
-			for i, r := range out {
-				l.refs[idxs[i]] = r
-			}
+		for i, r := range out {
+			s.log.refs[idxs[i]] = r
 		}
 	})
 }
@@ -502,8 +528,9 @@ type fleetStripeTotals struct {
 	bucketSessions, bucketConns, bucketWire            []int64
 }
 
-// resolveSink is the second pass: ask the store who won each chunk,
-// charge uploads to winners, and fold per-stripe load curves.
+// resolveSink is the second pass: read who won each chunk off its
+// claimed store ref, charge uploads to winners, and fold per-stripe
+// load curves. fleetLog.replay drives it.
 type resolveSink struct {
 	cfg FleetConfig
 	nb  int
@@ -517,9 +544,7 @@ type resolveSink struct {
 	dedup      int64 // content bytes deduplicated away
 	chunkCount int
 
-	batch chunkBatch       // session-unique chunks awaiting WinnerBatch (hash path)
-	gout  []bool           // per-group winner verdict scratch
-	seen  []dedup.ChunkRef // session-unique refs already resolved (ref path)
+	seen []dedup.ChunkRef // session-unique refs already resolved
 }
 
 func newResolveSink(cfg FleetConfig, nb int) *resolveSink {
@@ -537,29 +562,15 @@ func newResolveSink(cfg FleetConfig, nb int) *resolveSink {
 func (s *resolveSink) StartSession(user int64, at time.Duration) {
 	s.user, s.at, s.atNs = user, at, int64(at)
 	s.upload, s.dedup, s.chunkCount = 0, 0, 0
-	s.batch.reset()
 	s.seen = s.seen[:0]
 }
 
-func (s *resolveSink) Chunk(h dedup.Hash, size int64) {
-	s.chunkCount++
-	// Within-session dedup: the client's manifest catches a repeated
-	// chunk before the server is even asked. Sessions hold a handful
-	// of chunks, so a linear scan of the buffered batch beats a map.
-	for i := range s.batch.hashes {
-		if s.batch.hashes[i] == h {
-			s.dedup += size
-			return
-		}
-	}
-	s.batch.add(s.cfg.Store.ShardOf(h), h, size, 0)
-}
-
-// ChunkResolved is the replay surface (refSink): the chunk arrives as
-// its claimed store entry, so the winner verdict is a direct entry
-// read — no store probe, no lock. Equal chunks share one store entry,
-// so within-session dedup is a ref compare; the verdicts and integer
-// sums are exactly those of the hash path.
+// ChunkResolved consumes one chunk as its claimed store entry, so the
+// winner verdict is a direct entry read — no store probe, no lock.
+// Within-session dedup: the client's manifest catches a repeated chunk
+// before the server is even asked. Equal chunks share one store entry,
+// so that is a ref compare; sessions hold a handful of chunks, so a
+// linear scan beats a map.
 func (s *resolveSink) ChunkResolved(r dedup.ChunkRef, size int64) {
 	s.chunkCount++
 	for _, prev := range s.seen {
@@ -577,25 +588,6 @@ func (s *resolveSink) ChunkResolved(r dedup.ChunkRef, size int64) {
 }
 
 func (s *resolveSink) EndSession(files int) {
-	// Hash path only (regeneration fallback): ask the store who won
-	// the session's unique chunks, one WinnerBatch per shard group.
-	// upload/dedup are plain integer sums, so the group order cannot
-	// change the totals. On the ref path the batch is empty.
-	s.batch.forEachShardGroup(func(hs []dedup.Hash, sizes, _ []int64) {
-		if cap(s.gout) < len(hs) {
-			s.gout = make([]bool, len(hs))
-		}
-		out := s.gout[:len(hs)]
-		s.cfg.Store.WinnerBatch(hs, s.atNs, s.user, out)
-		for i, won := range out {
-			if won {
-				s.upload += sizes[i]
-			} else {
-				s.dedup += sizes[i]
-			}
-		}
-	})
-
 	t := &s.tot
 	t.sessions++
 	t.files += int64(files)
@@ -703,6 +695,13 @@ func walkFleetStripe(cfg FleetConfig, starts []int, stripe int, sink fleetSink) 
 		st.sess++
 		st.rng.Reseed(fleetSeed(cfg.Seed, u, int64(st.sess)))
 		next := cls.Arrival.Next(st.rng, st.next)
+		if next <= st.next {
+			// A bursty process can draw a zero interarrival. (instant,
+			// user) is the claim key, so two sessions of one user at
+			// one instant would both win a chunk they share and upload
+			// it twice; the later session starts a nanosecond after.
+			next = st.next + 1
+		}
 		if next >= cfg.Day {
 			st.rng = nil
 			continue
@@ -716,10 +715,8 @@ func walkFleetStripe(cfg FleetConfig, starts []int, stripe int, sink fleetSink) 
 // each file either private (fresh seed from the session stream) or a
 // catalog file picked with Zipf-like popularity. Returns the file
 // count. tab is the class's generation table from withDefaults. The
-// claim pass is the only generation pass — the resolve pass replays
-// the recorded session log — but a log-budget fallback regenerates
-// through exactly this code with identical RNG state, which is what
-// keeps the fallback bit-exact.
+// claim pass is the only generation pass; the resolve pass replays the
+// recorded session log.
 func genFleetSession(cls *FleetClass, classIdx int, tab *classTables, rng *sim.RNG, sink fleetSink) int {
 	files := cls.MinFiles
 	if cls.MaxFiles > cls.MinFiles {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -289,6 +291,57 @@ func TestFleetArrivalHorizonRespected(t *testing.T) {
 		if s.at < 0 || s.at >= cfg.Day {
 			t.Fatalf("session at %v outside [0, %v)", s.at, cfg.Day)
 		}
+	}
+}
+
+func TestFleetConfigValidate(t *testing.T) {
+	// One case per rule. The nil-arrival and zero-chunk configs used to
+	// crash a helper goroutine and loop out of memory respectively;
+	// RunFleet must now reject every case up front with Validate's error.
+	class := func(edit func(*FleetClass)) []FleetClass {
+		c := DefaultFleetClasses()[1]
+		edit(&c)
+		return []FleetClass{c}
+	}
+	cases := []struct {
+		name string
+		cfg  FleetConfig
+		want string // error substring; "" = valid
+	}{
+		{"default", FleetConfig{Users: 10}, ""},
+		{"max buckets", FleetConfig{Users: 10, Day: time.Hour, Bucket: time.Hour / maxFleetBuckets}, ""},
+		{"negative users", FleetConfig{Users: -1}, "users -1"},
+		{"too many buckets", FleetConfig{Users: 10, Day: time.Hour, Bucket: time.Nanosecond}, "buckets"},
+		{"too many default-day buckets", FleetConfig{Users: 10, Bucket: time.Second}, "buckets"},
+		{"no classes", FleetConfig{Users: 10, Classes: []FleetClass{}}, "no classes"},
+		{"nil arrival", FleetConfig{Users: 10, Classes: class(func(c *FleetClass) { c.Arrival = nil })}, "no arrival"},
+		{"zero chunk", FleetConfig{Users: 10, Classes: class(func(c *FleetClass) { c.ChunkBytes = 0 })}, "chunk size 0"},
+		{"zero min file", FleetConfig{Users: 10, Classes: class(func(c *FleetClass) { c.MinFileBytes = 0 })}, "minimum file size 0"},
+		{"max below min", FleetConfig{Users: 10, Classes: class(func(c *FleetClass) { c.MaxFileBytes = c.MinFileBytes - 1 })}, "maximum file size"},
+		{"NaN fraction", FleetConfig{Users: 10, Classes: class(func(c *FleetClass) { c.Fraction = math.NaN() })}, "fraction NaN"},
+		{"infinite fraction", FleetConfig{Users: 10, Classes: class(func(c *FleetClass) { c.Fraction = math.Inf(1) })}, "fraction +Inf"},
+		{"negative fraction", FleetConfig{Users: 10, Classes: class(func(c *FleetClass) { c.Fraction = -0.5 })}, "fraction -0.5"},
+	}
+	for _, tc := range cases {
+		err := tc.cfg.Validate()
+		if tc.want == "" {
+			if err != nil {
+				t.Fatalf("%s: valid config rejected: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Validate() = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+		func() {
+			defer func() {
+				got, _ := recover().(error)
+				if got == nil || got.Error() != err.Error() {
+					t.Fatalf("%s: RunFleet panicked with %v, want Validate's error %v", tc.name, got, err)
+				}
+			}()
+			RunFleet(tc.cfg, 2)
+		}()
 	}
 }
 

@@ -4,90 +4,65 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/dedup"
 )
 
 // TestFleetLogReplayMatchesGeneration pins the log's core promise: the
-// claim pass's recorded stream, replayed, drives a sink through
-// exactly the StartSession/Chunk/EndSession sequence a second
-// generation walk would produce — same sessions, same order, same
-// (hash, size) runs, same file counts.
+// claim pass's recorded stream holds exactly what a second generation
+// walk would produce — same sessions in the same order, same users,
+// instants, file counts and chunk sizes — and each chunk's claimed
+// store ref stands in for its hash: no ref is zero, and two chunks of
+// a stripe share a ref exactly when their hashes are equal, which is
+// what within-session dedup in the resolve pass relies on.
 func TestFleetLogReplayMatchesGeneration(t *testing.T) {
 	cfg := smallFleet(600).withDefaults()
 	starts := classStarts(cfg.Classes, cfg.Users)
 	for stripe := 0; stripe < 8; stripe++ {
-		log := newFleetLog(0)
+		log := &fleetLog{}
 		walkFleetStripe(cfg, starts, stripe, &claimSink{store: cfg.Store, log: log})
-		if log.full {
-			t.Fatalf("stripe %d: default budget overflowed on a 600-user day", stripe)
-		}
 
 		want := &recordSink{}
 		walkFleetStripe(cfg, starts, stripe, want)
-		got := &recordSink{}
-		log.replay(got)
-		if !reflect.DeepEqual(want.sessions, got.sessions) {
-			t.Fatalf("stripe %d: replay diverged from generation (%d vs %d sessions)",
-				stripe, len(got.sessions), len(want.sessions))
+		if len(log.users) != len(want.sessions) {
+			t.Fatalf("stripe %d: log holds %d sessions, generation %d",
+				stripe, len(log.users), len(want.sessions))
 		}
-	}
-}
-
-// TestFleetLogForcedFallback starves the log budget so every stripe
-// drops its log and the resolve pass regenerates from seeds. The
-// fallback is pure mechanism: the fleet day must be bit-identical to
-// the replayed run, at several worker counts.
-func TestFleetLogForcedFallback(t *testing.T) {
-	base := RunFleet(smallFleet(1500), 1)
-
-	// A one-byte budget cannot hold a session header: every stripe
-	// trips on its first startSession.
-	starved := smallFleet(1500)
-	starved.LogBudget = 1
-	log := newFleetLog(1)
-	log.startSession(0, 0)
-	if !log.full {
-		t.Fatal("one-byte budget did not trip the log")
-	}
-
-	for _, workers := range []int{1, 4} {
-		cfg := starved
-		if got := RunFleet(cfg, workers); !reflect.DeepEqual(base, got) {
-			t.Fatalf("workers=%d: regeneration fallback diverged:\n  replay: %v\n  regen:  %v",
-				workers, base, got)
+		var hashes []dedup.Hash
+		var start int64
+		for i, sess := range want.sessions {
+			end := log.chunkEnd[i]
+			if log.users[i] != sess.user || time.Duration(log.atNs[i]) != sess.at || int(log.files[i]) != sess.files {
+				t.Fatalf("stripe %d session %d: log (user %d, at %v, files %d), generation (%d, %v, %d)",
+					stripe, i, log.users[i], time.Duration(log.atNs[i]), log.files[i], sess.user, sess.at, sess.files)
+			}
+			if !reflect.DeepEqual(log.sizes[start:end], sess.sizes) {
+				t.Fatalf("stripe %d session %d: chunk sizes %v, generation %v",
+					stripe, i, log.sizes[start:end], sess.sizes)
+			}
+			hashes = append(hashes, sess.hashes...)
+			start = end
 		}
-	}
-}
+		if len(log.refs) != len(hashes) || len(log.sizes) != len(hashes) {
+			t.Fatalf("stripe %d: %d refs and %d sizes for %d generated chunks",
+				stripe, len(log.refs), len(log.sizes), len(hashes))
+		}
 
-// TestFleetLogBudgetDrop exercises the budget bookkeeping directly: a
-// log sized for a few chunks drops mid-stream, releases its arenas,
-// and ignores everything after.
-func TestFleetLogBudgetDrop(t *testing.T) {
-	budget := logBytesPerSession + 3*logBytesPerChunk
-	log := newFleetLog(budget)
-	log.startSession(7, 0)
-	var h dedup.Hash
-	for i := 0; i < 3; i++ {
-		h[0] = byte(i)
-		log.chunk(h, 100)
-	}
-	if log.full {
-		t.Fatal("log tripped within budget")
-	}
-	log.chunk(h, 100) // one over
-	if !log.full {
-		t.Fatal("log did not trip past budget")
-	}
-	if log.hashes != nil || log.users != nil || log.refs != nil {
-		t.Fatal("drop retained arena memory")
-	}
-	log.chunk(h, 100) // must not panic or resurrect
-	log.endSession(1)
-	rec := &recordSink{}
-	log.replay(rec)
-	if len(rec.sessions) != 0 {
-		t.Fatalf("replay of a dropped log produced %d sessions", len(rec.sessions))
+		byRef := make(map[dedup.ChunkRef]dedup.Hash, len(hashes))
+		byHash := make(map[dedup.Hash]dedup.ChunkRef, len(hashes))
+		for j, r := range log.refs {
+			if r == (dedup.ChunkRef{}) {
+				t.Fatalf("stripe %d chunk %d: claim pass left a zero ref", stripe, j)
+			}
+			if h, ok := byRef[r]; ok && h != hashes[j] {
+				t.Fatalf("stripe %d chunk %d: distinct hashes share one ref", stripe, j)
+			}
+			if prev, ok := byHash[hashes[j]]; ok && prev != r {
+				t.Fatalf("stripe %d chunk %d: one hash logged under two refs", stripe, j)
+			}
+			byRef[r], byHash[hashes[j]] = hashes[j], r
+		}
 	}
 }
 

@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
+	"time"
+
+	"repro/internal/workload"
 )
 
 // FuzzReadCampaign drives the campaign parser — comparebench's input
@@ -42,4 +46,78 @@ func FuzzReadCampaign(f *testing.F) {
 			t.Fatalf("round trip is not stable:\n%s\n%s", first.Bytes(), second.Bytes())
 		}
 	})
+}
+
+// FuzzFleetConfig builds a fleet config from bounded integers — at
+// most 300 users, a day of at most two hours, one fuzzed class next to
+// a fixed one, its arrival process picked by a selector that includes
+// nil — and checks that the config is either rejected by Validate or
+// runs to a conserved day: wire = content − dedup + manifests, stored =
+// content − dedup (every stored chunk uploaded exactly once), and the
+// result bit-identical at workers 1 and 3. The committed corpus under
+// testdata/fuzz/FuzzFleetConfig holds a nil arrival and a zero chunk
+// size (which used to crash and to loop out of memory), a valid small
+// mix, and a bursty gamma class whose zero interarrivals used to put
+// two sessions of one user at one instant, uploading a shared chunk
+// twice.
+func FuzzFleetConfig(f *testing.F) {
+	f.Fuzz(func(t *testing.T, users, dayMin, bucketMs, arrival, perDay, cvTenths,
+		minFiles, maxFiles, minKB, maxKB, chunkKB, catalog, sharedPct int, fraction float64) {
+		perDayF := float64(fuzzInt(perDay, 1, 48))
+		var arr workload.Arrival
+		switch fuzzInt(arrival, 0, 3) {
+		case 1:
+			arr = workload.Poisson{PerDay: perDayF}
+		case 2:
+			arr = workload.Gamma{PerDay: perDayF, CV: float64(fuzzInt(cvTenths, 0, 100)) / 10}
+		case 3:
+			arr = workload.Diurnal{PerDay: perDayF, Weights: workload.OfficeHours()}
+		}
+		cfg := FleetConfig{
+			Users:   fuzzInt(users, -1, 300),
+			Seed:    int64(users),
+			Day:     time.Duration(fuzzInt(dayMin, 1, 120)) * time.Minute,
+			Bucket:  time.Duration(fuzzInt(bucketMs, 0, 3_600_000)) * time.Millisecond,
+			Stripes: 5,
+			Classes: []FleetClass{
+				{
+					Name: "fuzzed", Fraction: fraction, Arrival: arr,
+					MinFiles: fuzzInt(minFiles, 0, 8), MaxFiles: fuzzInt(maxFiles, 0, 8),
+					MinFileBytes:   int64(fuzzInt(minKB, -1, 256)) << 10,
+					MaxFileBytes:   int64(fuzzInt(maxKB, -1, 256)) << 10,
+					SharedFraction: float64(fuzzInt(sharedPct, 0, 100)) / 100,
+					CatalogSize:    fuzzInt(catalog, 0, 64),
+					ChunkBytes:     int64(fuzzInt(chunkKB, -1, 64)) << 12,
+				},
+				{
+					Name: "fixed", Fraction: 0.5, Arrival: workload.Poisson{PerDay: 8},
+					MinFiles: 1, MaxFiles: 2, MinFileBytes: 1000, MaxFileBytes: 50_000,
+					SharedFraction: 0.3, CatalogSize: 16, ChunkBytes: 16 << 10,
+				},
+			},
+		}
+		if cfg.Validate() != nil {
+			return
+		}
+		r := RunFleet(cfg, 1)
+		if r.WireBytes != r.ContentBytes-r.DedupBytes+r.ManifestBytes {
+			t.Fatalf("wire %d != content %d - dedup %d + manifests %d",
+				r.WireBytes, r.ContentBytes, r.DedupBytes, r.ManifestBytes)
+		}
+		if r.StoredBytes != r.ContentBytes-r.DedupBytes {
+			t.Fatalf("stored %d != content %d - dedup %d", r.StoredBytes, r.ContentBytes, r.DedupBytes)
+		}
+		if r3 := RunFleet(cfg, 3); !reflect.DeepEqual(r, r3) {
+			t.Fatalf("workers 1 and 3 diverged:\n  1: %v\n  3: %v", r, r3)
+		}
+	})
+}
+
+// fuzzInt maps a fuzzed integer into [lo, hi]: values already in range
+// pass through, so corpus entries read literally; others wrap.
+func fuzzInt(v, lo, hi int) int {
+	if v >= lo && v <= hi {
+		return v
+	}
+	return lo + int(uint(v)%uint(hi-lo+1))
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -58,6 +60,12 @@ func releaseHelper() { helpersActive.Add(-1) }
 // fn must derive everything from its index (see the determinism
 // contract above); RunN guarantees fn(i)'s result lands in slot i
 // regardless of scheduling.
+//
+// A panicking cell does not take the process down from a helper
+// goroutine, where no caller could recover it: RunN recovers it, stops
+// handing out indices, waits for the cells in flight, and re-panics on
+// the calling goroutine with the lowest panicking index, its value and
+// its original stack ("core: RunN cell <i>: <value>").
 func RunN[T any](n, workers int, fn func(i int) T) []T {
 	if n <= 0 {
 		return nil
@@ -70,19 +78,34 @@ func RunN[T any](n, workers int, fn func(i int) T) []T {
 		budget = n
 	}
 	out := make([]T, n)
-	var next atomic.Int64
+	var (
+		next    atomic.Int64
+		stopped atomic.Bool
+		mu      sync.Mutex
+		failed  = -1 // lowest panicking cell, -1 while none has
+		failure string
+	)
+	cell := func(i int) {
+		defer func() {
+			if v := recover(); v != nil {
+				stopped.Store(true)
+				mu.Lock()
+				if failed < 0 || i < failed {
+					failed, failure = i, fmt.Sprintf("core: RunN cell %d: %v\n%s", i, v, debug.Stack())
+				}
+				mu.Unlock()
+			}
+		}()
+		out[i] = fn(i)
+	}
 	work := func() {
-		for {
+		for !stopped.Load() {
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				return
 			}
-			out[i] = fn(i)
+			cell(i)
 		}
-	}
-	if budget <= 1 {
-		work()
-		return out
 	}
 	var wg sync.WaitGroup
 	for spawned := 1; spawned < budget && tryAcquireHelper(budget-1); spawned++ {
@@ -95,6 +118,9 @@ func RunN[T any](n, workers int, fn func(i int) T) []T {
 	}
 	work()
 	wg.Wait()
+	if failed >= 0 {
+		panic(failure)
+	}
 	return out
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -54,6 +56,46 @@ func TestRunNEachCellOnce(t *testing.T) {
 		}
 	}
 }
+
+func TestRunNPanicNamesCell(t *testing.T) {
+	// A panicking cell must surface on the caller — where recover can
+	// catch it — naming the lowest panicking index with the original
+	// value and stack, never crash the process from a helper goroutine.
+	for _, workers := range []int{1, 4} {
+		var ran atomic.Int64
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			RunN(64, workers, func(i int) int {
+				ran.Add(1)
+				if i == 3 || i == 7 {
+					panicInCell(i)
+				}
+				return i
+			})
+			return nil
+		}()
+		msg, ok := got.(string)
+		if !ok {
+			t.Fatalf("workers=%d: recovered %T %v, want a string naming the cell", workers, got, got)
+		}
+		if want := "core: RunN cell 3: boom 3\n"; !strings.HasPrefix(msg, want) {
+			t.Fatalf("workers=%d: panic %q, want prefix %q", workers, firstLine(msg), want)
+		}
+		if !strings.Contains(msg, "panicInCell") {
+			t.Fatalf("workers=%d: re-panic lost the cell's stack:\n%s", workers, msg)
+		}
+		if workers == 1 && ran.Load() != 4 {
+			t.Fatalf("workers=1: %d cells ran, want 4 (no index handed out after the panic)", ran.Load())
+		}
+		if n := helpersActive.Load(); n != 0 {
+			t.Fatalf("workers=%d: %d helper slots leaked", workers, n)
+		}
+	}
+}
+
+func panicInCell(i int) { panic(fmt.Sprintf("boom %d", i)) }
+
+func firstLine(s string) string { return strings.SplitN(s, "\n", 2)[0] }
 
 func TestRunNNestedSharesBudget(t *testing.T) {
 	// A fan-out whose cells fan out again must complete correctly

@@ -158,9 +158,9 @@ func NewStoreShardedSized(n, expectedChunks int) *Store {
 func (s *Store) Shards() int { return len(s.shards) }
 
 // ShardOf returns the index of the lock stripe h routes to. Callers
-// batching operations group hashes by this index and hand each group
-// to ClaimBatchRef/WinnerBatch, paying one lock acquisition per group
-// instead of one per chunk.
+// batching claims group hashes by this index and hand each group to
+// ClaimBatchRef, paying one lock acquisition per group instead of one
+// per chunk.
 func (s *Store) ShardOf(h Hash) int {
 	return int(binary.LittleEndian.Uint32(h[:4]) & s.mask)
 }
@@ -290,27 +290,6 @@ func (s *Store) Winner(h Hash, at, user int64) bool {
 	}
 	sh.mu.Unlock()
 	return won
-}
-
-// WinnerBatch is Winner for a group of chunks that all route to the
-// same shard (group with ShardOf): out[i] reports whether (at, user)
-// is the earliest recorded claim for hs[i]. One lock acquisition
-// covers the whole batch. len(out) must equal len(hs).
-func (s *Store) WinnerBatch(hs []Hash, at, user int64, out []bool) {
-	if len(hs) == 0 {
-		return
-	}
-	sh := s.shardFor(hs[0])
-	sh.mu.Lock()
-	for i, h := range hs {
-		won := false
-		if idx, ok := sh.chunks[h]; ok {
-			e := sh.slab.at(idx)
-			won = e.claimed && e.at == at && e.user == user
-		}
-		out[i] = won
-	}
-	sh.mu.Unlock()
 }
 
 // Size returns the stored size of a chunk, or 0 if absent.

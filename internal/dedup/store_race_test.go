@@ -42,20 +42,20 @@ func TestStoreConcurrentStress(t *testing.T) {
 						// interleaving.
 						s.Claim(h, 100, int64(w*opsPerWorker+i), int64(w))
 					case 3:
-						// Batched claim/winner traffic: a single-chunk
-						// batch is the degenerate shard group, so it
-						// contends with the unbatched ops above on the
-						// same hashes. The claim instants sit above
-						// every case-2 instant, so they never displace
-						// the minimum the final assertions predict.
+						// Batched claims and a winner probe: a
+						// single-chunk batch is the degenerate shard
+						// group, so it contends with the unbatched
+						// ops above on the same hashes. The claim
+						// instants sit above every case-2 instant, so
+						// they never displace the minimum the final
+						// assertions predict.
 						hb := [1]Hash{h}
 						sb := [1]int64{100}
 						at := int64((workers+w)*opsPerWorker + i)
 						var refs [1]ChunkRef
 						s.ClaimBatchRef(hb[:], sb[:], at, int64(w), refs[:])
 						s.ClaimBatchRef(hb[:], sb[:], at+1, int64(w), refs[:])
-						var out [1]bool
-						s.WinnerBatch(hb[:], 0, 0, out[:])
+						s.Winner(h, 0, 0)
 						// refs[0].WonBy is deliberately NOT read here:
 						// it is a lock-free resolve-phase read, legal
 						// only after claim traffic has quiesced.

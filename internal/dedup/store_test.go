@@ -185,8 +185,8 @@ func shardGroups(s *Store, hs []Hash, sizes []int64) (groups [][]Hash, groupSize
 }
 
 func TestClaimBatchMatchesPerChunkClaims(t *testing.T) {
-	// ClaimBatchRef/WinnerBatch promise exact equivalence with the
-	// per-chunk calls: same winners, same counters. Drive the same
+	// ClaimBatchRef promises exact equivalence with the per-chunk
+	// calls: same winners, same counters. Drive the same
 	// claim schedule — several users, overlapping chunk sets — through
 	// both surfaces and compare everything observable.
 	hs := randomHashes(11, 200)
@@ -225,14 +225,10 @@ func TestClaimBatchMatchesPerChunkClaims(t *testing.T) {
 			ref.Hits(), batched.Hits())
 	}
 	for _, sess := range sessions {
-		groups, _ := shardGroups(batched, sess.hs, nil2(len(sess.hs)))
-		for _, g := range groups {
-			out := make([]bool, len(g))
-			batched.WinnerBatch(g, sess.at, sess.user, out)
-			for i, h := range g {
-				if want := ref.Winner(h, sess.at, sess.user); out[i] != want {
-					t.Fatalf("user %d chunk %v: WinnerBatch=%v, Winner=%v", sess.user, h, out[i], want)
-				}
+		for _, h := range sess.hs {
+			got, want := batched.Winner(h, sess.at, sess.user), ref.Winner(h, sess.at, sess.user)
+			if got != want {
+				t.Fatalf("user %d chunk %v: batched Winner=%v, per-chunk Winner=%v", sess.user, h, got, want)
 			}
 		}
 	}

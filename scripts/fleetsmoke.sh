@@ -10,7 +10,9 @@
 # day at -shards 1 and -shards 64 and compares again (dropping only the
 # "shards" line, which echoes the flag itself); any diff is a
 # determinism regression in the fleet layer or the sharded store's
-# claim/resolve protocol.
+# claim/resolve protocol. Last, it checks that hostile flags (-bucket
+# 1ns, -users -1) are rejected with exit status 2 before anything is
+# simulated, instead of crashing or running out of memory.
 #
 # Usage: scripts/fleetsmoke.sh [users]
 set -euo pipefail
@@ -21,11 +23,17 @@ a="$(mktemp -t fleet_p1.XXXXXX.json)"
 b="$(mktemp -t fleet_p8.XXXXXX.json)"
 c="$(mktemp -t fleet_s1.XXXXXX.json)"
 d="$(mktemp -t fleet_s64.XXXXXX.json)"
-trap 'rm -f "${a}" "${b}" "${c}" "${d}"' EXIT
+bin="$(mktemp -d -t fleetbench.XXXXXX)"
+trap 'rm -rf "${a}" "${b}" "${c}" "${d}" "${bin}"' EXIT
 
-go run ./cmd/fleetbench -users "${users}" -populations 500,"${users}" \
+# Built once rather than go run: go run reports any failure as exit 1,
+# and the flag checks below need the binary's own exit status.
+go build -o "${bin}/fleetbench" ./cmd/fleetbench
+fleetbench="${bin}/fleetbench"
+
+"${fleetbench}" -users "${users}" -populations 500,"${users}" \
   -parallel 1 -out "${a}"
-go run ./cmd/fleetbench -users "${users}" -populations 500,"${users}" \
+"${fleetbench}" -users "${users}" -populations 500,"${users}" \
   -parallel 8 -out "${b}"
 
 if ! cmp -s "${a}" "${b}"; then
@@ -35,8 +43,8 @@ if ! cmp -s "${a}" "${b}"; then
 fi
 echo "fleetsmoke: ${users}-user day bit-identical across worker counts"
 
-go run ./cmd/fleetbench -users "${users}" -shards 1 -out "${c}"
-go run ./cmd/fleetbench -users "${users}" -shards 64 -out "${d}"
+"${fleetbench}" -users "${users}" -shards 1 -out "${c}"
+"${fleetbench}" -users "${users}" -shards 64 -out "${d}"
 
 if ! cmp -s <(grep -v '"shards"' "${c}") <(grep -v '"shards"' "${d}"); then
   echo "fleetsmoke: fleet day differs between -shards 1 and -shards 64" >&2
@@ -44,3 +52,18 @@ if ! cmp -s <(grep -v '"shards"' "${c}") <(grep -v '"shards"' "${d}"); then
   exit 1
 fi
 echo "fleetsmoke: ${users}-user day bit-identical across store shard counts"
+
+# A Go panic or out-of-memory crash also exits 2, so a usage error is
+# status 2 AND a single "fleetbench: ..." line on stderr.
+for flags in "-bucket 1ns" "-users -1"; do
+  status=0
+  # shellcheck disable=SC2086 # flags are deliberately word-split
+  err="$("${fleetbench}" ${flags} -out /dev/null 2>&1 >/dev/null)" || status=$?
+  if [ "${status}" -ne 2 ] || [ "$(printf '%s\n' "${err}" | wc -l)" -ne 1 ] ||
+    [[ "${err}" != fleetbench:* ]]; then
+    echo "fleetsmoke: fleetbench ${flags} exited ${status}, want a usage error (2):" >&2
+    printf '%s\n' "${err}" | head -5 >&2
+    exit 1
+  fi
+done
+echo "fleetsmoke: hostile flags rejected with exit status 2"
