@@ -83,16 +83,17 @@
 //     cache miss — into pooled buffers released at the end of each
 //     plan. A no-capability client (Cloud Drive) plans entire uploads
 //     from descriptors alone: zero content bytes ever exist.
-//   - internal/compressor memoises size-only DEFLATE twice over:
-//     descriptor-backed chunks key the cache by content identity
-//     (kind, seed, size, chunk window) — no hashing, and on
-//     repeats no generation — while ad-hoc bytes fall back to the
-//     SHA-256 hash cache (still ~10x cheaper than the level-6 flate it
-//     skips). Sizes stay exact either way, so campaigns that re-plan
-//     identical content — repeated engine timings, the
-//     parallel-vs-sequential identity checks, the Fig. 6 matrix whose
-//     per-(workload, repetition) contents are shared across services —
-//     stop paying for recompression.
+//   - internal/compressor memoises size-only DEFLATE in one cache
+//     keyed by content identity alone: descriptor-backed chunks by
+//     (kind, seed, size, chunk window) — no hashing, and on repeats no
+//     generation — and ad-hoc bytes by their SHA-256 (still ~10x
+//     cheaper than the level-6 flate it skips). An entry holds the
+//     sniff verdict and the DEFLATE size, so Always and Smart share
+//     it. Sizes stay exact, so campaigns that re-plan identical
+//     content — repeated engine timings, the parallel-vs-sequential
+//     identity checks, the Fig. 6 matrix whose per-(workload,
+//     repetition) contents are shared across services — stop paying
+//     for recompression, once per content rather than per policy.
 //   - core.RunN is the parallel experiment scheduler: a generic
 //     bounded-pool fan-out over arbitrary index spaces. Every
 //     campaign-of-campaigns loop rides on it — RunCampaign,

@@ -16,8 +16,8 @@ import (
 // produce exactly the plan that planning the pre-generated bytes
 // would — same units, same wire sizes, same commit flags, same dedup
 // accounting. The lazy path may skip generation entirely (Cloud
-// Drive) or resolve through the keyed size cache; neither may change
-// a planned byte.
+// Drive) or resolve through the compressor's size cache under a
+// descriptor key; neither may change a planned byte.
 func TestLazyPlanMatchesMaterializedPlan(t *testing.T) {
 	meta := rand.New(rand.NewSource(31))
 	kinds := []workload.Kind{workload.Binary, workload.Text, workload.FakeJPEG, workload.PixelImage}

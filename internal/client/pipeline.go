@@ -51,11 +51,11 @@ func (p FilePlan) UploadBytes() int64 {
 // Files arrive as workload.Content, which may be a lazy descriptor.
 // The planner materialises at the chunk boundary, and only when a
 // capability genuinely needs bytes: content-defined chunking, hashing
-// for dedup, delta signatures, encryption, or a compression-size cache
-// miss. A capability-poor profile (Cloud Drive: no chunking, no
-// compression) plans a whole upload from the descriptor alone — zero
-// content bytes ever exist — which removes what used to be ~50% of its
-// campaign repetitions. Materialisation goes into pooled buffers
+// for dedup, delta signatures, encryption, or a miss in the
+// compressor's content-keyed size cache. A capability-poor profile
+// (Cloud Drive: no chunking, no compression) plans a whole upload from
+// the descriptor alone — zero content bytes ever exist — which removes
+// what used to be ~50% of its campaign repetitions. Materialisation goes into pooled buffers
 // (workload.GetBuffer) released at the end of each plan; nothing the
 // planner retains (hashes, signatures, sizes) aliases them.
 type planner struct {
@@ -100,7 +100,10 @@ func (pl *planner) split(data []byte) []chunker.Chunk {
 // descChunkKey names one chunk of a descriptor's content for the
 // compressor's size cache: the chunk bytes are a pure function of
 // (kind, seed, size, offset, length), so the cache never needs to
-// hash — or even generate — the content to recognise it.
+// hash — or even generate — the content to recognise it. Gen is the
+// kind plus one, because Gen 0 marks a content-hash key. The key
+// carries no policy: every compressing service planning this chunk
+// hits the same entry.
 func descChunkKey(d workload.Descriptor, off, ln int64) compressor.ContentKey {
 	return compressor.ContentKey{Gen: uint32(d.Kind) + 1, Seed: d.Seed, Size: d.Size, Off: off, Len: ln}
 }
@@ -129,8 +132,8 @@ func (pl *planner) PlanFile(path string, content workload.Content) FilePlan {
 // It applies when chunk boundaries are computable from the size alone
 // (no content-defined chunking) and no capability hashes, signs or
 // encrypts content. Transmit sizes come from the chunk length (no
-// compression) or the descriptor-keyed size cache; only a cache miss
-// generates bytes, once, into a pooled buffer.
+// compression) or the compressor's size cache under a descriptor key;
+// only a cache miss generates bytes, once, into a pooled buffer.
 func (pl *planner) planLazy(path string, content workload.Content) (FilePlan, bool) {
 	prof := pl.profile
 	desc, lazy := content.Descriptor()

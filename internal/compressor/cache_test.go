@@ -7,8 +7,9 @@ import (
 	"testing"
 )
 
-// contents returns payloads that exercise both cache tiers (below and
-// above sizeCacheMinLen) and both compressibility extremes.
+// contents returns payloads on both sides of sizeCacheMinLen, at both
+// compressibility extremes, and a fake JPEG (JPEG header, text body)
+// that Smart skips and Always shrinks.
 func contents(t *testing.T) map[string][]byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(9))
@@ -21,20 +22,42 @@ func contents(t *testing.T) map[string][]byte {
 	}
 	small := make([]byte, 512)
 	rng.Read(small)
-	return map[string][]byte{"random": random, "text": text, "small": small}
+	fakeJPEG := append([]byte{0xFF, 0xD8, 0xFF, 0xE0}, text[:32<<10]...)
+	return map[string][]byte{"random": random, "text": text, "small": small, "fake-jpeg": fakeJPEG}
 }
 
-// TestTransmitSizeCacheExact proves the (hash -> size) cache is
+// sortedNames returns the keys of m in order, so failures are stable.
+func sortedNames(m map[string][]byte) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// resetSizeCache empties the cache so the next call is a cold miss.
+func resetSizeCache() {
+	sizeCache.Lock()
+	sizeCache.m = nil
+	sizeCache.Unlock()
+}
+
+// countingData returns a data callback for TransmitSizeKeyed that
+// counts how often the cache materialises the payload.
+func countingData(data []byte, calls *int) func() []byte {
+	return func() []byte {
+		*calls++
+		return data
+	}
+}
+
+// TestTransmitSizeCacheExact proves the size cache is
 // invisible: repeated calls — cold, warm, and after mutation of an
 // unrelated buffer — return exactly the uncached DEFLATE count.
 func TestTransmitSizeCacheExact(t *testing.T) {
 	all := contents(t)
-	names := make([]string, 0, len(all))
-	for name := range all {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedNames(all) {
 		data := all[name]
 		want := countDeflate(data)
 		for i := 0; i < 3; i++ {
@@ -91,9 +114,10 @@ func TestTransmitSizeCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestSizeCacheReset proves the entry bound resets the cache instead
-// of growing without limit, and that results stay exact across the
-// reset generation.
+// TestSizeCacheReset proves the entry bound resets the one cache
+// instead of growing without limit — whether it fills with hash keys
+// from eager payloads or with descriptor keys — and that results stay
+// exact across the reset generation.
 func TestSizeCacheReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	probe := make([]byte, sizeCacheMinLen)
@@ -102,11 +126,21 @@ func TestSizeCacheReset(t *testing.T) {
 	if got := TransmitSize(Always, probe); got != want {
 		t.Fatalf("probe = %d, want %d", got, want)
 	}
-	// Overflow the generation with unique contents.
+	probeKey := ContentKey{Gen: 7, Seed: -1, Size: sizeCacheMinLen, Len: sizeCacheMinLen}
+	if got := TransmitSizeKeyed(Smart, probeKey, sizeCacheMinLen, func() []byte { return probe }); got != want {
+		t.Fatalf("keyed probe = %d, want %d", got, want)
+	}
+	// Overflow the generation with unique contents, alternating the
+	// two key kinds.
 	buf := make([]byte, sizeCacheMinLen)
 	for i := 0; i < sizeCacheMaxEntries+10; i++ {
 		rng.Read(buf)
-		TransmitSize(Always, buf)
+		if i%2 == 0 {
+			TransmitSize(Always, buf)
+		} else {
+			key := ContentKey{Gen: 7, Seed: int64(i), Size: sizeCacheMinLen, Len: sizeCacheMinLen}
+			TransmitSizeKeyed(Always, key, sizeCacheMinLen, func() []byte { return buf })
+		}
 	}
 	sizeCache.RLock()
 	n := len(sizeCache.m)
@@ -118,5 +152,85 @@ func TestSizeCacheReset(t *testing.T) {
 	// have changed either way.
 	if got := TransmitSize(Always, probe); got != want {
 		t.Fatalf("probe after reset = %d, want %d", got, want)
+	}
+	if got := TransmitSizeKeyed(Smart, probeKey, sizeCacheMinLen, func() []byte { return probe }); got != want {
+		t.Fatalf("keyed probe after reset = %d, want %d", got, want)
+	}
+}
+
+// TestCompressingPoliciesShareOneDeflate pins the point of keying by
+// content alone: Smart on content that does not sniff as compressed is
+// Always, so Dropbox and Google Drive uploading the same chunk
+// materialise and DEFLATE it once, in either order.
+func TestCompressingPoliciesShareOneDeflate(t *testing.T) {
+	text := contents(t)["text"]
+	want := countDeflate(text)
+	for i, order := range [][2]Policy{{Always, Smart}, {Smart, Always}} {
+		resetSizeCache()
+		key := ContentKey{Gen: 9, Seed: int64(i), Size: int64(len(text)), Len: int64(len(text))}
+		calls := 0
+		for _, p := range order {
+			if got := TransmitSizeKeyed(p, key, int64(len(text)), countingData(text, &calls)); got != want {
+				t.Fatalf("%v then %v: %v = %d, want %d", order[0], order[1], p, got, want)
+			}
+		}
+		if calls != 1 {
+			t.Fatalf("%v then %v: data() called %d times, want 1", order[0], order[1], calls)
+		}
+	}
+}
+
+// TestSmartMissSkipsDeflate checks the lazy size: a Smart miss on a
+// fake JPEG records the verdict and returns the raw length without
+// running DEFLATE; a later Always on the same key fills in the exact
+// size, and from then on both policies hit.
+func TestSmartMissSkipsDeflate(t *testing.T) {
+	resetSizeCache()
+	fake := contents(t)["fake-jpeg"]
+	raw := int64(len(fake))
+	key := ContentKey{Gen: 9, Seed: 100, Size: raw, Len: raw}
+	calls := 0
+	if got := TransmitSizeKeyed(Smart, key, raw, countingData(fake, &calls)); got != raw {
+		t.Fatalf("Smart on fake JPEG = %d, want raw %d", got, raw)
+	}
+	sizeCache.RLock()
+	e := sizeCache.m[key]
+	sizeCache.RUnlock()
+	if !e.looksCompressed || e.size >= 0 {
+		t.Fatalf("after Smart miss: entry %+v, want verdict set and no size", e)
+	}
+	want := countDeflate(fake)
+	if got := TransmitSizeKeyed(Always, key, raw, countingData(fake, &calls)); got != want {
+		t.Fatalf("Always after Smart = %d, want %d", got, want)
+	}
+	if calls != 2 {
+		t.Fatalf("data() called %d times, want 2 (verdict, then size)", calls)
+	}
+	if TransmitSizeKeyed(Smart, key, raw, countingData(fake, &calls)) != raw ||
+		TransmitSizeKeyed(Always, key, raw, countingData(fake, &calls)) != want || calls != 2 {
+		t.Fatalf("warm calls: data() called %d times, want 2", calls)
+	}
+}
+
+// TestTransmitSizeMatchesApply checks both size entry points against
+// the bytes Apply would transmit, for every policy and content, cold
+// and warm.
+func TestTransmitSizeMatchesApply(t *testing.T) {
+	resetSizeCache()
+	all := contents(t)
+	for i, name := range sortedNames(all) {
+		data := all[name]
+		key := ContentKey{Gen: 9, Seed: int64(200 + i), Size: int64(len(data)), Len: int64(len(data))}
+		for _, p := range []Policy{None, Always, Smart} {
+			want := int64(len(Apply(p, data).Data))
+			for pass := 0; pass < 2; pass++ {
+				if got := TransmitSize(p, data); got != want {
+					t.Fatalf("%s %v pass %d: TransmitSize = %d, want %d", name, p, pass, got, want)
+				}
+				if got := TransmitSizeKeyed(p, key, int64(len(data)), func() []byte { return data }); got != want {
+					t.Fatalf("%s %v pass %d: TransmitSizeKeyed = %d, want %d", name, p, pass, got, want)
+				}
+			}
+		}
 	}
 }

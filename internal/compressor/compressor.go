@@ -12,13 +12,16 @@
 // Compression is real DEFLATE via compress/flate, so upload volumes
 // inherit genuine content-dependent ratios: dictionary text shrinks
 // ~3-4x, random bytes grow slightly, fake JPEGs shrink only under the
-// Always policy.
+// Always policy. Transmit sizes are memoised in one cache keyed by
+// content identity alone, holding the sniff verdict and the DEFLATE
+// size, so the two compressing policies share each DEFLATE.
 package compressor
 
 import (
 	"bytes"
 	"compress/flate"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"sync"
 )
@@ -118,142 +121,125 @@ func (c *countWriter) Write(p []byte) (int, error) {
 // without materialising the compressed output — the upload planner
 // only ever needs the size. The count is exact: DEFLATE is
 // deterministic, so counting bytes into a sink yields the same number
-// as buffering them, and the (content hash -> size) cache below can
-// never change a result, only skip recomputing it.
+// as buffering them, and the size cache below can never change a
+// result, only skip recomputing it. Payloads worth caching are keyed
+// by their SHA-256.
 func TransmitSize(p Policy, data []byte) int64 {
-	switch p {
-	case None:
+	switch {
+	case p == None || p == Smart && LooksCompressed(data):
 		return int64(len(data))
-	case Smart:
-		if LooksCompressed(data) {
-			return int64(len(data))
-		}
-	case Always:
-	default:
-		panic(fmt.Sprintf("compressor: unknown policy %d", int(p)))
+	case (p == Always || p == Smart) && len(data) < sizeCacheMinLen:
+		return countDeflate(data)
 	}
-	return deflatedSize(data)
+	return TransmitSizeKeyed(p, hashKey(data), int64(len(data)), func() []byte { return data })
 }
 
 // Size-only DEFLATE dominates the wall-clock of campaigns against
-// always-compress services (level-6 flate over every uploaded chunk,
-// ~38% of a Dropbox campaign repetition), and benchmark harnesses
-// routinely re-plan identical content: repeated engine timings over
-// one seed, the parallel-vs-sequential bit-identity checks, and the
-// Fig. 6 matrix, whose (workload, repetition) seeds — and therefore
-// file contents — are shared by every service. The cache keys the
-// deflated size by content hash; SHA-256 is an order of magnitude
-// cheaper than the DEFLATE it saves, and collisions are not a
-// practical concern, so sizes stay exact.
+// compressing services (level-6 flate over every uploaded chunk), and
+// benchmark harnesses routinely re-plan identical content: repeated
+// engine timings over one seed, the parallel-vs-sequential
+// bit-identity checks, and the Fig. 6 matrix, whose (workload,
+// repetition) seeds — and therefore file contents — are shared by
+// every service. One cache serves them all. It maps a content's
+// identity to what both compressing policies need: the LooksCompressed
+// verdict and the exact level-6 DEFLATE size. The policy is not part
+// of the key, because Smart on content that does not sniff as
+// compressed is exactly Always: Dropbox and Google Drive uploading
+// the same file share one DEFLATE.
 const (
-	// sizeCacheMinLen keeps tiny payloads (delta literal runs, sub-kB
-	// files) out of the cache: hashing overhead and map churn would
-	// rival the DEFLATE they save.
+	// sizeCacheMinLen keeps tiny eager payloads (delta literal runs,
+	// sub-kB files) out of the cache: hashing overhead and map churn
+	// would rival the DEFLATE they save.
 	sizeCacheMinLen = 4 << 10
-	// sizeCacheMaxEntries bounds cache memory (~40 B/entry). When the
+	// sizeCacheMaxEntries bounds cache memory (~56 B/entry). When the
 	// bound is hit the cache resets wholesale — campaigns reuse a
 	// small working set of contents, so a generation that overflows is
 	// mostly dead weight anyway.
 	sizeCacheMaxEntries = 4096
 )
 
-var sizeCache struct {
-	sync.RWMutex
-	m map[[sha256.Size]byte]int64
-}
-
-// deflatedSize is the counting DEFLATE behind TransmitSize, memoised
-// by content hash for payloads worth caching.
-func deflatedSize(data []byte) int64 {
-	if len(data) < sizeCacheMinLen {
-		return countDeflate(data)
-	}
-	key := sha256.Sum256(data)
-	sizeCache.RLock()
-	n, ok := sizeCache.m[key]
-	sizeCache.RUnlock()
-	if ok {
-		return n
-	}
-	n = countDeflate(data)
-	sizeCache.Lock()
-	if sizeCache.m == nil || len(sizeCache.m) >= sizeCacheMaxEntries {
-		sizeCache.m = make(map[[sha256.Size]byte]int64, 256)
-	}
-	sizeCache.m[key] = n
-	sizeCache.Unlock()
-	return n
-}
-
 // ContentKey identifies a deterministic payload without hashing it:
 // generated benchmark content is a pure function of its descriptor
 // (generator id, seed, size) and the chunk window cut from it. Keying
 // the size cache on this identity skips not only the DEFLATE but the
 // SHA-256 over megabytes of content — and, for lazily planned files,
-// the content generation itself.
+// the content generation itself. Gen 0 is reserved: it marks a key
+// holding the SHA-256 of an eager payload (see TransmitSize).
 type ContentKey struct {
-	Gen  uint32 // generator id: content kind
+	Gen  uint32 // generator id: content kind; 0 for a content hash
 	Seed int64  // descriptor stream seed
 	Size int64  // whole-content length
 	Off  int64  // chunk offset within the content
 	Len  int64  // chunk length
 }
 
-// keyedSizeCache memoises transmit sizes by (policy, ContentKey). It
-// is bounded like the hash cache and resets wholesale when full.
-var keyedSizeCache struct {
-	sync.RWMutex
-	m map[keyedSizeKey]int64
+// hashKey packs a payload's SHA-256 into the four int64 fields of a
+// Gen-0 key.
+func hashKey(data []byte) ContentKey {
+	h := sha256.Sum256(data)
+	le := binary.LittleEndian
+	return ContentKey{
+		Seed: int64(le.Uint64(h[0:])),
+		Size: int64(le.Uint64(h[8:])),
+		Off:  int64(le.Uint64(h[16:])),
+		Len:  int64(le.Uint64(h[24:])),
+	}
 }
 
-type keyedSizeKey struct {
-	policy Policy
-	key    ContentKey
+// sizeEntry is what the cache knows about one content. The verdict is
+// set when the entry is created; the size is filled lazily, because a
+// Smart miss on content that sniffs as compressed never needs it.
+type sizeEntry struct {
+	size            int64 // level-6 DEFLATE size; -1 until computed
+	looksCompressed bool
+}
+
+var sizeCache struct {
+	sync.RWMutex
+	m map[ContentKey]sizeEntry
 }
 
 // TransmitSizeKeyed returns the transmitted byte count Apply would
 // produce for a payload identified by key, materialising the payload
 // via data() only on a cache miss. rawLen is the payload length (known
-// without materialising); policies that never compress return it
-// directly. Sizes are exact: the cache can only skip recomputing, and
-// the Smart policy's sniff verdict is part of the cached result.
+// without materialising); None returns it without touching the cache,
+// and so does Smart once the cached verdict says the content looks
+// compressed. Sizes are exact: the cache can only skip recomputing.
 func TransmitSizeKeyed(p Policy, key ContentKey, rawLen int64, data func() []byte) int64 {
-	if p == None {
-		return rawLen
-	}
-	k := keyedSizeKey{policy: p, key: key}
-	keyedSizeCache.RLock()
-	n, ok := keyedSizeCache.m[k]
-	keyedSizeCache.RUnlock()
-	if ok {
-		return n
-	}
-	n = transmitSizeUncached(p, data())
-	keyedSizeCache.Lock()
-	if keyedSizeCache.m == nil || len(keyedSizeCache.m) >= sizeCacheMaxEntries {
-		keyedSizeCache.m = make(map[keyedSizeKey]int64, 256)
-	}
-	keyedSizeCache.m[k] = n
-	keyedSizeCache.Unlock()
-	return n
-}
-
-// transmitSizeUncached is TransmitSize minus the hash cache: the keyed
-// cache already provides identity, so hashing the content on a miss
-// would be pure overhead.
-func transmitSizeUncached(p Policy, data []byte) int64 {
 	switch p {
 	case None:
-		return int64(len(data))
-	case Smart:
-		if LooksCompressed(data) {
-			return int64(len(data))
-		}
-	case Always:
+		return rawLen
+	case Always, Smart:
 	default:
 		panic(fmt.Sprintf("compressor: unknown policy %d", int(p)))
 	}
-	return countDeflate(data)
+	sizeCache.RLock()
+	e, ok := sizeCache.m[key]
+	sizeCache.RUnlock()
+	// An entry lacks a size only when its content sniffed as
+	// compressed, and then only Always needs one.
+	if !ok || p == Always && e.size < 0 {
+		b := data()
+		if !ok {
+			e = sizeEntry{size: -1, looksCompressed: LooksCompressed(b)}
+		}
+		if p == Always || !e.looksCompressed {
+			e.size = countDeflate(b)
+		}
+		sizeCache.Lock()
+		if sizeCache.m == nil || len(sizeCache.m) >= sizeCacheMaxEntries {
+			sizeCache.m = make(map[ContentKey]sizeEntry, 256)
+		}
+		// A concurrent miss may have filled the size already; keep it.
+		if old, had := sizeCache.m[key]; !had || old.size < 0 {
+			sizeCache.m[key] = e
+		}
+		sizeCache.Unlock()
+	}
+	if p == Smart && e.looksCompressed {
+		return rawLen
+	}
+	return e.size
 }
 
 // countDeflate runs the real level-6 DEFLATE into a counting sink.

@@ -85,9 +85,10 @@ func FixedReps(n int) StopRule {
 }
 
 // Validate rejects a rule the engine would otherwise have to repair
-// silently: a precision target outside [0, 1), negative bounds, or a
-// cap below the (possibly defaulted) minimum. Zero fields are valid
-// and select the defaults.
+// silently: a precision target outside [0, 1), negative bounds, a
+// cap below the (possibly defaulted) minimum, or an antithetic bound
+// too large to round up to a whole pair. Zero fields are valid and
+// select the defaults.
 func (r StopRule) Validate() error {
 	minReps := r.MinReps
 	if minReps == 0 {
@@ -102,6 +103,8 @@ func (r StopRule) Validate() error {
 		return fmt.Errorf("max-reps must be >= 0 (got %d)", r.MaxReps)
 	case r.MaxReps > 0 && r.MaxReps < minReps:
 		return fmt.Errorf("max-reps %d is below min-reps %d", r.MaxReps, minReps)
+	case r.Antithetic && (r.MinReps == math.MaxInt || r.MaxReps == math.MaxInt):
+		return fmt.Errorf("antithetic reps must be below %d", math.MaxInt)
 	}
 	return nil
 }

@@ -156,6 +156,10 @@ func TestStopRuleValidate(t *testing.T) {
 		{"negative min", StopRule{MinReps: -1}, false},
 		{"min above max", StopRule{MinReps: 10, MaxReps: 5}, false},
 		{"cap below default min", StopRule{MaxReps: DefaultMinReps - 1}, false},
+		{"antithetic odd below int max", StopRule{MinReps: math.MaxInt - 2, Antithetic: true}, true},
+		{"antithetic min at int max", StopRule{MinReps: math.MaxInt, Antithetic: true}, false},
+		{"antithetic max at int max", StopRule{MaxReps: math.MaxInt, Antithetic: true}, false},
+		{"plain max at int max", StopRule{MaxReps: math.MaxInt}, true},
 	} {
 		if err := tc.rule.Validate(); (err == nil) != tc.ok {
 			t.Errorf("%s: Validate(%+v) = %v, want ok=%v", tc.name, tc.rule, err, tc.ok)

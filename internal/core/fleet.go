@@ -757,8 +757,8 @@ func genFleetSession(cls *FleetClass, classIdx int, tab *classTables, rng *sim.R
 // file. Generated content is a pure function of its descriptor
 // stream, so the (seed, size, window) tuple identifies the bytes a
 // real client would hash — the same identity argument the
-// compressor's descriptor-keyed size cache makes — and a million-user
-// day never materialises a chunk to address it.
+// compressor's size cache makes with its descriptor keys — and a
+// million-user day never materialises a chunk to address it.
 func fleetChunkHash(seed, size, off, ln int64) dedup.Hash {
 	var b [33]byte
 	b[0] = 0xFC // fleet-chunk domain tag

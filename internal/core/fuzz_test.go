@@ -121,3 +121,34 @@ func fuzzInt(v, lo, hi int) int {
 	}
 	return lo + int(uint(v)%uint(hi-lo+1))
 }
+
+// FuzzStopRule checks that every rule Validate accepts resolves, under
+// withDefaults, to one the stopping engine can run: a precision target
+// in (0, 1), 1 <= MinReps <= MaxReps, and under antithetic pairing
+// even bounds with at least two pairs. Resolving never lowers a bound
+// the caller set. The committed corpus under
+// testdata/fuzz/FuzzStopRule holds the zero rule, a fixed count, an
+// antithetic rule with odd bounds, a cap below the minimum, and
+// antithetic bounds at the int maximum, whose rounding to a whole
+// pair used to wrap negative.
+func FuzzStopRule(f *testing.F) {
+	f.Fuzz(func(t *testing.T, target float64, minReps, maxReps int, antithetic, crn bool) {
+		r := StopRule{TargetRelHW: target, MinReps: minReps, MaxReps: maxReps, Antithetic: antithetic, CRN: crn}
+		if r.Validate() != nil {
+			return
+		}
+		d := r.withDefaults()
+		if !(d.TargetRelHW > 0 && d.TargetRelHW < 1) {
+			t.Fatalf("%+v: resolved target %g outside (0, 1)", r, d.TargetRelHW)
+		}
+		if !(1 <= d.MinReps && d.MinReps <= d.MaxReps) {
+			t.Fatalf("%+v: resolved bounds %d..%d", r, d.MinReps, d.MaxReps)
+		}
+		if d.MinReps < r.MinReps || d.MaxReps < r.MaxReps {
+			t.Fatalf("%+v: resolved bounds %d..%d lower a requested one", r, d.MinReps, d.MaxReps)
+		}
+		if antithetic && (d.MinReps%2 != 0 || d.MaxReps%2 != 0 || d.MinReps < 4) {
+			t.Fatalf("%+v: antithetic bounds %d..%d are not whole pairs, two at least", r, d.MinReps, d.MaxReps)
+		}
+	})
+}

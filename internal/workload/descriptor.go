@@ -10,9 +10,10 @@ import (
 // materialising (Kind, Seed, Size) always yields the same bytes,
 // across forks, worker counts and processes. Files
 // created from descriptors stay lazy — the benchmark plans uploads,
-// keys compression size caches and sizes transfers off the descriptor
-// alone, and only materialises when a consumer genuinely needs bytes
-// (content-defined chunking, hashing, DEFLATE on a cache miss).
+// keys the compressor's size cache and sizes transfers off the
+// descriptor alone, and only materialises when a consumer genuinely
+// needs bytes (content-defined chunking, hashing, DEFLATE on a cache
+// miss).
 type Descriptor struct {
 	Kind Kind
 	Seed int64
@@ -51,7 +52,7 @@ func (d Descriptor) String() string {
 // or edited by the workload script) or a lazy Descriptor (generated
 // benchmark files). The distinction is what lets capability-poor
 // clients plan a whole upload without the content ever existing, and
-// lets the compressor key its size cache on descriptor identity
+// lets the compressor key its one size cache on descriptor identity
 // instead of hashing megabytes.
 //
 // Content values are immutable by convention: the byte slice behind an
